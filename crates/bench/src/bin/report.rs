@@ -1,13 +1,13 @@
 //! Unified reproduction report: collates every artifact under the
 //! results directory into one human-readable `REPORT.md`.
 //!
-//! Usage: `report [--results DIR] [--history PATH] [--out PATH] [--quiet]`
+//! Usage: `report [--results DIR] [--out PATH] [--quiet]`
 //!
 //! The collator reads only emitted artifacts — run manifests
-//! (`gvf.run-manifest`), Chrome traces (`gvf.timeline`), and the
-//! benchmark trajectory (`gvf.bench-trajectory`) — never the simulator
-//! itself, so the report is a pure function of `results/` and can be
-//! regenerated at any time. Sections:
+//! (`gvf.run-manifest`), Chrome traces (`gvf.timeline`) and the other
+//! documents listed below — never the simulator itself, so the report
+//! is a pure function of `results/` and can be regenerated at any time.
+//! Sections:
 //!
 //! 1. per-figure cell tables (canonical paper order: tables first, then
 //!    Figures 6–12, then the repo's own ablations);
@@ -33,9 +33,7 @@
 //! 8. "What changed since the baseline": every `gvf.rundiff`
 //!    run-comparison artifact found in the results dir (see
 //!    [`gvf_bench::rundiff`]) rendered as per-run verdicts plus top
-//!    attributed causes, and the latest-vs-previous trajectory movement
-//!    per binary;
-//! 9. the recent benchmark trajectory from `BENCH_gvf.json`.
+//!    attributed causes.
 //!
 //! Unreadable or unrecognized files are reported and skipped — a
 //! partial `run_all.sh --keep-going` run still gets a report of
@@ -44,7 +42,6 @@
 //! them. Progress goes to stderr; the report goes to the `--out` file
 //! only.
 
-use gvf_bench::bench_history::{History, DEFAULT_HISTORY_PATH};
 use gvf_bench::events;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{ATTRIB_SCHEMA, CYCLEAUDIT_SCHEMA, HOSTPROFILE_SCHEMA, MANIFEST_SCHEMA};
@@ -618,9 +615,8 @@ fn absent_notes(unreadable: &[(String, String)], family: &str) -> String {
 /// The "What changed since the baseline" section: every `gvf.rundiff`
 /// artifact found in the results dir (e.g. `rundiff.json` from
 /// `run_all.sh --baseline`), rendered as its per-run verdicts plus the
-/// top attributed causes, followed by the latest-vs-previous trajectory
-/// movement per benchmarked binary.
-fn baseline_section(rundiffs: &[(String, Json)], history: Option<&History>) -> String {
+/// top attributed causes.
+fn baseline_section(rundiffs: &[(String, Json)]) -> String {
     let mut md = String::new();
     if rundiffs.is_empty() {
         md.push_str(
@@ -645,51 +641,6 @@ fn baseline_section(rundiffs: &[(String, Json)], history: Option<&History>) -> S
                 md.push_str(&format!("- {}\n", scalar(c)));
             }
         }
-        md.push('\n');
-    }
-    // Trajectory movement: latest vs previous entry per binary.
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    if let Some(history) = history {
-        let mut bins: Vec<&str> = history
-            .entries
-            .iter()
-            .map(|e| e.sample.bin.as_str())
-            .collect();
-        bins.sort_unstable();
-        bins.dedup();
-        for bin in bins {
-            let of_bin: Vec<_> = history
-                .entries
-                .iter()
-                .filter(|e| e.sample.bin == bin)
-                .collect();
-            let [.., prev, last] = of_bin.as_slice() else {
-                continue;
-            };
-            rows.push(vec![
-                bin.to_string(),
-                format!("{} ({})", fmt_num(prev.sample.sim_cycles_per_sec), prev.rev),
-                format!("{} ({})", fmt_num(last.sample.sim_cycles_per_sec), last.rev),
-                if prev.sample.sim_cycles_per_sec > 0.0 {
-                    format!(
-                        "x{:.2}",
-                        last.sample.sim_cycles_per_sec / prev.sample.sim_cycles_per_sec
-                    )
-                } else {
-                    "-".into()
-                },
-            ]);
-        }
-    }
-    if !rows.is_empty() {
-        md.push_str(
-            "Trajectory movement (latest vs previous recorded benchmark per \
-             binary; gate metric: simulated cycles per host second):\n\n",
-        );
-        md.push_str(&markdown_table(
-            &["bin", "previous", "latest", "ratio"],
-            &rows,
-        ));
         md.push('\n');
     }
     md
@@ -729,7 +680,6 @@ fn accumulate_hotspots(doc: &Json, agg: &mut Vec<Hotspot>) {
 
 fn main() {
     let mut results_dir = "results".to_string();
-    let mut history_path = DEFAULT_HISTORY_PATH.to_string();
     let mut out_path: Option<String> = None;
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
@@ -743,12 +693,11 @@ fn main() {
         };
         match arg.as_str() {
             "--results" => results_dir = value("--results"),
-            "--history" => history_path = value("--history"),
             "--out" => out_path = Some(value("--out")),
             "--quiet" => quiet = true,
             other => {
                 eprintln!("report: unknown argument {other:?}");
-                eprintln!("usage: report [--results DIR] [--history PATH] [--out PATH] [--quiet]");
+                eprintln!("usage: report [--results DIR] [--out PATH] [--quiet]");
                 std::process::exit(2);
             }
         }
@@ -865,8 +814,8 @@ fn main() {
     let mut md = String::new();
     md.push_str("# gvf reproduction report\n\n");
     md.push_str(
-        "Collated by the `report` binary from the run manifests, probe traces, \
-         and benchmark trajectory under `results/`. Regenerate with \
+        "Collated by the `report` binary from the run manifests, probe traces \
+         and other artifacts under `results/`. Regenerate with \
          `./run_all.sh` or `cargo run --release --bin report`.\n\n",
     );
     md.push_str(&format!(
@@ -1145,59 +1094,13 @@ fn main() {
         md.push('\n');
     }
 
-    let history = History::load(&history_path);
-
     md.push_str("## What changed since the baseline\n\n");
     md.push_str(
         "Differential observability: every `gvf.rundiff` run-comparison \
          artifact under the results dir (produced by `run_all.sh \
-         --baseline DIR` or `diffrun`), plus the latest movement in the \
-         benchmark trajectory.\n\n",
+         --baseline DIR` or `diffrun`).\n\n",
     );
-    md.push_str(&baseline_section(
-        &rundiffs,
-        history.as_ref().ok().filter(|h| !h.entries.is_empty()),
-    ));
-
-    md.push_str("## Benchmark trajectory\n\n");
-    match &history {
-        Ok(history) if !history.entries.is_empty() => {
-            md.push_str(&format!(
-                "Last {} of {} entries in `{}` (gate metric: simulated \
-                 cycles per host second).\n\n",
-                history.entries.len().min(20),
-                history.entries.len(),
-                history_path
-            ));
-            let tail = &history.entries[history.entries.len().saturating_sub(20)..];
-            let rows: Vec<Vec<String>> = tail
-                .iter()
-                .map(|e| {
-                    vec![
-                        e.date.clone(),
-                        e.rev.clone(),
-                        e.sample.bin.clone(),
-                        fmt_num(e.sample.sim_cycles_per_sec),
-                        e.samples.to_string(),
-                    ]
-                })
-                .collect();
-            md.push_str(&markdown_table(
-                &["date", "rev", "bin", "sim cycles/s", "samples"],
-                &rows,
-            ));
-            md.push('\n');
-        }
-        Ok(_) => {
-            md.push_str(&format!(
-                "No trajectory yet — `perf_record` appends to `{history_path}`.\n\n"
-            ));
-        }
-        Err(e) => {
-            eprintln!("report: trajectory unreadable: {e}");
-            md.push_str(&format!("Trajectory unreadable: {e}\n\n"));
-        }
-    }
+    md.push_str(&baseline_section(&rundiffs));
 
     if let Err(e) = std::fs::write(&out_path, md.as_bytes()) {
         eprintln!("report: {out_path}: {e}");

@@ -8,7 +8,7 @@
 //! - `validate_json FILE...` — exits non-zero on the first file that
 //!   fails to parse or carries an unknown/missing schema. Chrome traces
 //!   (`gvf.timeline`) keep their schema under `otherData`, the
-//!   manifest, metrics, and trajectory documents at top level.
+//!   manifest and metrics documents at top level.
 //!   `gvf.events` telemetry streams are JSONL, recognized by their
 //!   `runStart` first line, and validated against the full lifecycle
 //!   invariants (see [`gvf_bench::events::validate_stream`]).
@@ -39,7 +39,6 @@
 //! exactly, and `auditedCycles` must equal the cell's copied `Stats`
 //! cycle counter.
 
-use gvf_bench::bench_history::TRAJECTORY_SCHEMA;
 use gvf_bench::cellcache::{self, CELLCACHE_SCHEMA};
 use gvf_bench::events::{self, EVENTS_SCHEMA};
 use gvf_bench::hostperf::HOSTPERF_SCHEMA;
@@ -52,7 +51,7 @@ use gvf_bench::{rundiff, schemas};
 use gvf_sim::TIMELINE_SCHEMA;
 
 /// Returns the document's schema identifier, looking both at the top
-/// level (manifest, metrics, trajectory) and under `otherData` (Chrome
+/// level (manifest, metrics) and under `otherData` (Chrome
 /// trace).
 fn schema_of(doc: &Json) -> Option<&str> {
     doc.get("schema")
@@ -167,15 +166,6 @@ fn check(doc: &Json, schema: &str) -> Result<(), String> {
             // Reached only for a one-object file: a real stream is
             // JSONL and is detected before whole-file parsing.
             events::validate_stream(std::slice::from_ref(doc)).map(|_| ())
-        }
-        TRAJECTORY_SCHEMA => {
-            let entries = arr_len("entries").ok_or("trajectory without an entries array")?;
-            // A freshly bootstrapped history may be empty; entries that
-            // do exist must decode.
-            if entries > 0 {
-                gvf_bench::bench_history::History::from_json(doc)?;
-            }
-            Ok(())
         }
         s if s == schemas::RUNDIFF.id => rundiff::check_doc(doc),
         other => Err(format!("unknown schema {other:?}")),

@@ -10,8 +10,9 @@
 //!   [`crate::manifest::strip_host_perf`] and `validate_json
 //!   --det-diff`);
 //! - nothing here ever reaches stdout;
-//! - throughput figures (cells/sec, simulated cycles/sec) are the
-//!   quantities `perf_record` tracks over time in `BENCH_gvf.json`.
+//! - `perfbench/` reads `phases.setup_s`, `peak_rss_bytes`, the sweep
+//!   workers and the cell-cache counts from it, and `diffrun` compares
+//!   `throughput.sim_cycles_per_sec` between two runs.
 //!
 //! Schema fields (v1):
 //!

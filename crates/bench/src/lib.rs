@@ -2,16 +2,14 @@
 //!
 //! One binary per table and figure of the paper's evaluation; see
 //! `DESIGN.md` §3 for the experiment index and `EXPERIMENTS.md` for
-//! paper-vs-measured results. The library part hosts shared report
-//! formatting used by the binaries plus [`harness`], the in-repo
-//! micro-benchmark driver the `benches/` targets run on (the workspace
-//! builds offline, so Criterion is not a dependency).
+//! paper-vs-measured results. The library part hosts what the binaries
+//! share: flag parsing, the sweep driver, the cell cache, run manifests,
+//! telemetry and report formatting. How fast the binaries reproduce the
+//! paper is measured from outside, by `perfbench/`.
 
-pub mod bench_history;
 pub mod cellcache;
 pub mod cli;
 pub mod events;
-pub mod harness;
 pub mod hostperf;
 pub mod json;
 pub mod manifest;

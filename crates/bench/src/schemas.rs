@@ -76,11 +76,6 @@ pub const HOSTPERF: Schema = Schema {
     id: "gvf.hostperf",
     version: 1,
 };
-/// Append-only benchmark trajectory (`BENCH_gvf.json`).
-pub const TRAJECTORY: Schema = Schema {
-    id: "gvf.bench-trajectory",
-    version: 1,
-};
 /// Content-addressed cell-cache entries.
 pub const CELLCACHE: Schema = Schema {
     id: "gvf.cellcache",
@@ -108,7 +103,6 @@ pub const ALL: &[Schema] = &[
     HOSTPROFILE,
     TIMELINE,
     HOSTPERF,
-    TRAJECTORY,
     CELLCACHE,
     EVENTS,
     RUNDIFF,
@@ -157,7 +151,6 @@ mod tests {
         assert_eq!(crate::hostperf::HOSTPERF_SCHEMA, HOSTPERF.id);
         assert_eq!(crate::cellcache::CELLCACHE_SCHEMA, CELLCACHE.id);
         assert_eq!(crate::events::EVENTS_SCHEMA, EVENTS.id);
-        assert_eq!(crate::bench_history::TRAJECTORY_SCHEMA, TRAJECTORY.id);
         assert_eq!(gvf_sim::TIMELINE_SCHEMA, TIMELINE.id);
     }
 }

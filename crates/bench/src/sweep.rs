@@ -26,7 +26,7 @@
 //! (per-worker busy/queue-wait/idle time) and the cell count land in
 //! the manifest's `hostPerf` section, which the determinism diff strips
 //! (wall-clock numbers differ run to run by design — see `DESIGN.md`
-//! "Host performance & trajectory").
+//! "Host performance").
 
 use crate::cli::HarnessOpts;
 use gvf_sim::hostperf::{self, SweepTelemetry};

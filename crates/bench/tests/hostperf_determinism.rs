@@ -1,16 +1,11 @@
 //! The determinism contract versus the telemetry subsystem: host-perf
-//! sections and trajectory timestamps are wall-clock data, so neither
-//! may influence the serial-vs-parallel manifest comparison or the
-//! regression gate's arithmetic. These tests pin that exclusion down
-//! end-to-end, at the same layer `validate_json --det-diff` and
-//! `perf_gate` operate on.
+//! sections are wall-clock data, so they may not influence the
+//! serial-vs-parallel manifest comparison. This test pins that
+//! exclusion down end-to-end, at the same layer `validate_json
+//! --det-diff` operates on.
 
-use gvf_bench::bench_history::{
-    gate, record, sample_from_manifest, GateConfig, History, RunConfig, Sample,
-};
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::hostperf::host_perf_json_from;
-use gvf_bench::json::Json;
 use gvf_bench::manifest::{manifest, strip_host_perf, CellRecord};
 use gvf_sim::{HostPerfSnapshot, PoolTelemetry, SweepTelemetry, WorkerTelemetry};
 use gvf_workloads::WorkloadConfig;
@@ -99,60 +94,4 @@ fn host_perf_is_excluded_from_the_determinism_view() {
     );
     // The strip recovers exactly the deterministic core.
     assert_eq!(strip_host_perf(&serial), core);
-}
-
-/// The round trip `perf_record` relies on: a manifest with an embedded
-/// hostPerf section yields the same throughput sample after render →
-/// parse, and the sample ignores everything the strip removes… except
-/// the hostPerf numbers themselves.
-#[test]
-fn samples_survive_the_manifest_round_trip() {
-    let doc = manifest("fig6", &opts(), &cells())
-        .with("hostPerf", host_perf_json_from(&snapshot(1), 12_345));
-    let parsed = Json::parse(&doc.render()).expect("manifest must parse");
-    let a = sample_from_manifest(&doc).expect("sample");
-    let b = sample_from_manifest(&parsed).expect("sample after round trip");
-    assert_eq!(a, b);
-    assert_eq!(a.bin, "fig6");
-    assert_eq!(a.sim_cycles, 12_345);
-    assert!(a.sim_cycles_per_sec > 0.0);
-    // The stripped view must NOT yield a sample: hostPerf is the
-    // sample's only wall-clock source.
-    assert!(sample_from_manifest(&strip_host_perf(&doc)).is_err());
-}
-
-/// Trajectory provenance (git rev, date) never reaches the gate: two
-/// histories recording identical measurements under different
-/// rev/date stamps produce identical verdicts for every probe.
-#[test]
-fn trajectory_timestamps_are_excluded_from_the_gate() {
-    let sample = |rate: f64| Sample {
-        bin: "fig6".into(),
-        config: RunConfig {
-            // Benchmark-grade: smoke or sub-second samples are skipped
-            // by the gate outright, which would make this test vacuous.
-            smoke: false,
-            scale: 1,
-            iterations: 2,
-        },
-        wall_s: 2.0,
-        cells: 4,
-        cells_per_sec: 4.0,
-        sim_cycles: 1_000,
-        sim_cycles_per_sec: rate,
-        total_instrs: 500,
-        mean_ipc: 0.5,
-    };
-    let mut then = History::default();
-    let mut now = History::default();
-    record(&mut then, &[sample(1000.0)], "0000001", "1999-12-31");
-    record(&mut now, &[sample(1000.0)], "fffffff", "2026-08-05");
-    let cfg = GateConfig::default();
-    for rate in [1000.0, 900.0, 100.0, 0.5] {
-        assert_eq!(
-            gate(&then, &sample(rate), &cfg),
-            gate(&now, &sample(rate), &cfg),
-            "verdict for rate {rate} depended on provenance"
-        );
-    }
 }

@@ -132,5 +132,14 @@ fn clean_tree_reports_no_absent_notes() {
     // tooling instead.
     assert!(md.contains("What changed since the baseline"));
     assert!(md.contains("No run-comparison artifacts found"));
+    // Host timing lives in perfbench: the report keeps no benchmark
+    // trajectory and no longer accepts a history file.
+    assert!(!md.contains("Benchmark trajectory"));
+    let status = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["--results", dir.to_str().unwrap(), "--history", "X"])
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("spawn report");
+    assert_eq!(status.code(), Some(2), "--history must be an unknown flag");
     let _ = std::fs::remove_dir_all(&dir);
 }

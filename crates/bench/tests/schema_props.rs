@@ -1,22 +1,13 @@
-//! Property tests for the two telemetry schemas added with the
-//! host-performance subsystem (`gvf.hostperf` v1 and
-//! `gvf.bench-trajectory` v1): any generated document must survive the
-//! render → parse round trip of the in-repo JSON layer, and the
-//! trajectory must additionally decode back to an equal value — the
-//! same guarantee the older schemas already enjoy (see
+//! Property test for the telemetry schema added with the
+//! host-performance subsystem (`gvf.hostperf` v1): any generated
+//! document must survive the render → parse round trip of the in-repo
+//! JSON layer — the same guarantee the older schemas already enjoy (see
 //! `json_roundtrip.rs`), run on the in-repo `gvf-prop` harness.
 
-use gvf_bench::bench_history::{History, RunConfig, Sample, TrajectoryEntry};
 use gvf_bench::hostperf::host_perf_json_from;
 use gvf_bench::json::Json;
 use gvf_prop::{props, Rng};
 use gvf_sim::{HostPerfSnapshot, PoolTelemetry, SweepTelemetry, WorkerTelemetry};
-
-/// An exactly-representable f64 (k/64 with bounded k), mirroring the
-/// JSON round-trip suite's number palette.
-fn arb_f64(rng: &mut Rng) -> f64 {
-    rng.range_u64(0, 1 << 20) as f64 / 64.0
-}
 
 fn arb_snapshot(rng: &mut Rng) -> HostPerfSnapshot {
     let n_sweeps = rng.range_usize(0, 4);
@@ -54,34 +45,6 @@ fn arb_snapshot(rng: &mut Rng) -> HostPerfSnapshot {
     }
 }
 
-fn arb_entry(rng: &mut Rng, i: usize) -> TrajectoryEntry {
-    TrajectoryEntry {
-        rev: format!("{:07x}", rng.range_u64(0, 1 << 28)),
-        date: format!(
-            "{:04}-{:02}-{:02}",
-            rng.range_u64(1970, 2100),
-            rng.range_u64(1, 13),
-            rng.range_u64(1, 29)
-        ),
-        samples: rng.range_u64(1, 10),
-        sample: Sample {
-            bin: format!("bin{i}"),
-            config: RunConfig {
-                smoke: rng.bool(0.5),
-                scale: rng.range_u64(1, 64),
-                iterations: rng.range_u64(1, 16),
-            },
-            wall_s: arb_f64(rng),
-            cells: rng.range_u64(0, 1 << 20),
-            cells_per_sec: arb_f64(rng),
-            sim_cycles: rng.range_u64(0, 1 << 50),
-            sim_cycles_per_sec: arb_f64(rng),
-            total_instrs: rng.range_u64(0, 1 << 50),
-            mean_ipc: arb_f64(rng),
-        },
-    }
-}
-
 /// `gvf.hostperf` v1: the emitted section always parses back to an
 /// equal JSON tree and keeps its schema header and throughput block,
 /// whatever the snapshot — including zero-duration and worker-less
@@ -105,25 +68,5 @@ fn hostperf_sections_round_trip() {
             .and_then(Json::as_num)
             .expect("throughput rate");
         assert!(rate.is_finite(), "rate must stay finite: {rate}");
-    });
-}
-
-/// `gvf.bench-trajectory` v1: a history of arbitrary entries decodes
-/// back to an equal value after render → parse → from_json, and the
-/// encoding is idempotent.
-#[test]
-fn trajectories_round_trip() {
-    props!(96, |rng| {
-        let n = rng.range_usize(0, 8);
-        let history = History {
-            entries: (0..n).map(|i| arb_entry(rng, i)).collect(),
-        };
-        let doc = history.to_json();
-        let text = doc.render();
-        let back = Json::parse(&text).expect("trajectory must parse");
-        assert_eq!(back, doc);
-        let decoded = History::from_json(&back).expect("trajectory must decode");
-        assert_eq!(decoded, history);
-        assert_eq!(decoded.to_json().render(), text, "encoding must be stable");
     });
 }

@@ -1,10 +1,9 @@
 #!/bin/bash
-# Regenerate every paper figure/table plus the test and bench suites,
+# Run the test suite and regenerate every paper figure/table,
 # collecting a machine-readable artifact tree under results/.
 #
 #   ./run_all.sh [--jobs N] [--out DIR] [--keep-going] [--smoke]
-#                [--quiet] [--resume | --no-cache] [--samples N]
-#                [--baseline DIR]
+#                [--quiet] [--resume | --no-cache] [--baseline DIR]
 #
 # --jobs N is passed through to every harness binary: N concurrent
 # simulations, 0 = all cores, default = all cores. Results are
@@ -19,19 +18,13 @@
 # cells' work.
 # --smoke shrinks every binary to the CI-sized config (seconds, not
 # minutes) — the interrupted-run CI job uses this.
-# --quiet trims the tooling chatter: perf_gate PASS/SKIP lines,
-# perf_record append lines and the report progress line are silenced
-# (failures still print, exit codes are unchanged).
+# --quiet trims the tooling chatter: the diffrun summary and the report
+# progress line are silenced (failures still print, exit codes are
+# unchanged).
 # --resume reads completed cells back from $OUT/.cellcache/ (after an
 # interrupted or failed run) instead of re-simulating; manifests come
 # out byte-identical to an uninterrupted run apart from hostPerf.
 # --no-cache disables the cell cache entirely.
-# --samples N records N wall-clock samples per binary into the
-# trajectory: after the primary sweep, each binary reruns N-1 more
-# times (manifest-only, cache disabled) into $OUT/samples/, and
-# perf_record folds the whole group into one median entry. Default: 3
-# for benchmark-grade runs, 1 under --smoke (smoke samples never enter
-# the baseline anyway).
 # --baseline DIR diffs this run against a previous artifact tree: after
 # validation, diffrun writes $OUT/rundiff.json (gvf.rundiff — semantic /
 # performance / coverage drift, every regression attributed), the
@@ -51,11 +44,9 @@
 # Every artifact is re-parsed by the in-repo validator before the run
 # counts as green, and each events stream is reconciled 1:1 against its
 # binary's manifest.
-# After the sweep, perf_gate judges the run against the recorded
-# BENCH_gvf.json baseline; only a run that passes the gate is folded
-# into the trajectory by perf_record (so a regressed run can never
-# become part of its own — or any future — baseline). The report
-# binary then collates everything into $OUT/REPORT.md.
+# The report binary then collates everything into $OUT/REPORT.md.
+# To time the reproduction, run the benchmark: `bash perfbench/run.sh`
+# (see perfbench/README.md).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -65,7 +56,6 @@ KEEP_GOING=0
 CACHE_FLAGS=()
 SMOKE_FLAGS=()
 QUIET_FLAGS=()
-SAMPLES=""
 BASELINE=""
 while [ $# -gt 0 ]; do
   case "$1" in
@@ -75,9 +65,6 @@ while [ $# -gt 0 ]; do
     --out)
       [ $# -ge 2 ] || { echo "error: --out needs a value" >&2; exit 2; }
       OUT="$2"; shift 2 ;;
-    --samples)
-      [ $# -ge 2 ] || { echo "error: --samples needs a value" >&2; exit 2; }
-      SAMPLES="$2"; shift 2 ;;
     --baseline)
       [ $# -ge 2 ] || { echo "error: --baseline needs a value" >&2; exit 2; }
       BASELINE="$2"; shift 2 ;;
@@ -92,17 +79,10 @@ while [ $# -gt 0 ]; do
     --no-cache)
       CACHE_FLAGS=(--no-cache); shift ;;
     *)
-      echo "error: unknown argument '$1' (usage: $0 [--jobs N] [--out DIR] [--keep-going] [--smoke] [--quiet] [--resume | --no-cache] [--samples N] [--baseline DIR])" >&2; exit 2 ;;
+      echo "error: unknown argument '$1' (usage: $0 [--jobs N] [--out DIR] [--keep-going] [--smoke] [--quiet] [--resume | --no-cache] [--baseline DIR])" >&2; exit 2 ;;
   esac
 done
-# Benchmark-grade (non-smoke) runs default to the trajectory's
-# recommended sample count; smoke samples never enter the baseline, so
-# one is enough.
-if [ -z "$SAMPLES" ]; then
-  if [ "${#SMOKE_FLAGS[@]}" -gt 0 ]; then SAMPLES=1; else SAMPLES=3; fi
-fi
-
-# The benchmark block below runs inside a pipe subshell (tee), so
+# The harness block below runs inside a pipe subshell (tee), so
 # failures are collected in a file rather than a shell variable.
 FAILURES_FILE="$(mktemp)"
 trap 'rm -f "$FAILURES_FILE"' EXIT
@@ -129,7 +109,6 @@ mkdir -p "$OUT"
 run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
 
 {
-  run_step "cargo bench" cargo bench --workspace
   echo
   echo "================================================================"
   echo "  PAPER FIGURE / TABLE HARNESS (cargo run -p gvf-bench --bin <x>)"
@@ -151,29 +130,11 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
       --events-out "$OUT/$b.events.jsonl" \
       "${SMOKE_FLAGS[@]}" "${CACHE_FLAGS[@]}" "${extra[@]}"
   done
-  # Extra wall-clock samples for the trajectory: N-1 manifest-only
-  # reruns per binary into $OUT/samples/ (a subdirectory, so the
-  # validator glob and the report's scan of $OUT never mix them in with
-  # the primary artifacts). Cache disabled — a cache-hit sample takes
-  # near-zero wall time and perf_record would rightly skip it.
-  if [ "$SAMPLES" -gt 1 ]; then
-    mkdir -p "$OUT/samples"
-    for s in $(seq 2 "$SAMPLES"); do
-      for b in fig1b table1 table2 fig6 fig7 fig8 fig9 fig11 fig12 alloc_init fig10 ablation_lookup generations counters; do
-        run_step "$b sample $s" cargo run --release -p gvf-bench --bin "$b" -- \
-          --jobs "$JOBS" --json-out "$OUT/samples/$b.s$s.json" --no-cache \
-          "${SMOKE_FLAGS[@]}"
-      done
-    done
-  fi
   # The glob picks up every per-binary artifact family: .json manifest,
   # .attrib.json, .profile.json, .audit.json (plus fig6's trace and
   # metrics) — the validator dispatches on each file's schema header
   # and, for gvf.cycleaudit, re-checks the epoch accounting invariant.
   run_step "validate artifacts" cargo run --release -p gvf-bench --bin validate_json -- "$OUT"/*.json
-  if compgen -G "$OUT/samples/*.json" > /dev/null; then
-    run_step "validate samples" cargo run --release -p gvf-bench --bin validate_json -- "$OUT"/samples/*.json
-  fi
   # Cell-cache entries are artifacts too: each carries a content hash
   # that the validator recomputes, so a corrupted or hand-edited entry
   # is caught here rather than silently resumed into a future manifest.
@@ -192,38 +153,6 @@ run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
       run_step "reconcile $(basename "$ev")" cargo run --release -p gvf-bench --bin validate_json -- --events-reconcile "$ev" "$mf"
     done
     run_step "status" cargo run --release -p gvf-bench --bin status -- --summary "$OUT/fig7.events.jsonl"
-  fi
-
-  # Judge this run against the recorded baseline FIRST, and fold it
-  # into the trajectory only once it passes. Recording first would put
-  # the gated sample inside its own baseline (with one prior entry per
-  # bin the median becomes the midpoint and the gate mathematically
-  # cannot fail), and appending unconditionally would let a persistent
-  # regression rewrite the baseline into the new normal. A fresh
-  # checkout still bootstraps cleanly: with no matching baseline the
-  # gate skips (never fails) and the first recording stands it up.
-  manifests=()
-  for b in fig1b table1 table2 fig6 fig7 fig8 fig9 fig11 fig12 alloc_init fig10 ablation_lookup generations counters; do
-    [ -f "$OUT/$b.json" ] && manifests+=("$OUT/$b.json")
-  done
-  if [ "${#manifests[@]}" -gt 0 ]; then
-    run_step "perf_gate" cargo run --release -p gvf-bench --bin perf_gate -- "${QUIET_FLAGS[@]}" "${manifests[@]}"
-    # Under --keep-going a gate failure lands in FAILURES_FILE instead
-    # of exiting; either way, a run that failed the gate is not
-    # recorded.
-    if grep -qx "perf_gate" "$FAILURES_FILE" 2>/dev/null; then
-      echo "run_all.sh: perf_gate failed — not folding this run into BENCH_gvf.json" >&2
-    else
-      # The extra --samples reruns join the primary manifests here;
-      # perf_record groups by (generator, config) and records one
-      # median entry per group.
-      rec_manifests=("${manifests[@]}")
-      if compgen -G "$OUT/samples/*.json" > /dev/null; then
-        rec_manifests+=("$OUT"/samples/*.json)
-      fi
-      run_step "perf_record" cargo run --release -p gvf-bench --bin perf_record -- "${QUIET_FLAGS[@]}" "${rec_manifests[@]}"
-      run_step "validate trajectory" cargo run --release -p gvf-bench --bin validate_json -- BENCH_gvf.json
-    fi
   fi
 
   # Differential observability: diff this tree against the provided
