@@ -5,13 +5,14 @@
 //! Not a paper figure — it backs the paper's *argument* for organizing
 //! the ranges as a tree and for the overflow fallback being viable.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::{geomean, print_table};
 use gvf_bench::sweep::run_cells;
 use gvf_core::{LookupKind, Strategy};
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 /// Part-1 grid variants per workload, in grid order.
 #[derive(Clone, Copy, PartialEq)]
@@ -50,7 +51,7 @@ fn main() {
                 Strategy::Coal
             }
         };
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
+        cache.run(i, &CellSpec::Workload(k, s), &cfg)
     })
     .into_results(&opts);
 
@@ -113,9 +114,11 @@ fn main() {
     let sweep = run_cells("ablation_budget", &opts, &budgets, |i, &(budget, _)| {
         let mut cfg = opts.cfg.clone();
         cfg.tag_budget = budget;
-        budget_cache.run(i, &cfg, || {
-            run_workload(WorkloadKind::VeBfs, Strategy::TypePointerHw, &cfg)
-        })
+        budget_cache.run(
+            i,
+            &CellSpec::Workload(WorkloadKind::VeBfs, Strategy::TypePointerHw),
+            &cfg,
+        )
     })
     .into_results(&opts);
     let full = &sweep[0];

@@ -8,13 +8,14 @@
 //! init_cycles_per_object`); this harness reports the resulting modeled
 //! speedups plus the measured packing statistics.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::{geomean, print_table};
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -25,7 +26,7 @@ fn main() {
     let cache = opts.cell_cache("alloc_init");
     let mut results = run_cells("alloc_init", &opts, &cells, |i, &(k, s)| {
         let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
+        cache.run(i, &CellSpec::Workload(k, s), &cfg)
     })
     .into_results(&opts);
 

@@ -3,12 +3,13 @@
 //! per-tag latency attribution). Useful when calibrating the timing
 //! model; not itself a paper figure.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
 use gvf_sim::AccessTag;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 const KINDS: [WorkloadKind; 2] = [WorkloadKind::VeBfs, WorkloadKind::GameOfLife];
 
@@ -21,7 +22,7 @@ fn main() {
     let cache = opts.cell_cache("counters");
     let mut results = run_cells("counters", &opts, &cells, |i, &(k, s)| {
         let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
+        cache.run(i, &CellSpec::Workload(k, s), &cfg)
     })
     .into_results(&opts);
 

@@ -8,13 +8,14 @@
 //! The sweep is scaled with `--scale` relative to the paper's absolute
 //! chunk sizes, since default workload populations are ~16× smaller.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -37,7 +38,7 @@ fn main() {
     let mut results = run_cells("fig10", &opts, &cells, |i, &(k, s, chunk)| {
         let mut cfg = opts.cfg_for_cell(i);
         cfg.initial_chunk_objs = chunk;
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
+        cache.run(i, &CellSpec::Workload(k, s), &cfg)
     })
     .into_results(&opts);
 

@@ -5,13 +5,14 @@
 //! demonstrating allocator independence (§6.1).
 
 use gvf_alloc::AllocatorKind;
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::{geomean, print_table};
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -29,7 +30,7 @@ fn main() {
         if s == Strategy::TypePointerHw {
             cfg.allocator_override = Some(AllocatorKind::Cuda);
         }
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
+        cache.run(i, &CellSpec::Workload(k, s), &cfg)
     })
     .into_results(&opts);
 

@@ -9,13 +9,14 @@
 //!
 //! Counts scale with `--scale` (paper's 1M–32M at scale 128).
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{micro, MicroParams};
+use gvf_workloads::MicroParams;
 
 const STRATEGIES: [Strategy; 4] = [
     Strategy::Branch,
@@ -50,7 +51,7 @@ fn main() {
     let cache = opts.cell_cache("fig12");
     let mut results = run_cells("fig12", &opts, &cells, |i, &(p, s)| {
         let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || micro::run(s, p, &cfg))
+        cache.run(i, &CellSpec::Micro(s, p), &cfg)
     })
     .into_results(&opts);
 

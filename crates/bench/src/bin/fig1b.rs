@@ -5,13 +5,14 @@
 //! the vTable-pointer load (A), the rest split between the vFunc load
 //! (B) and the indirect call (C).
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -19,7 +20,7 @@ fn main() {
     let cache = opts.cell_cache("fig1b");
     let mut results = run_cells("fig1b", &opts, &cells, |i, &k| {
         let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, Strategy::Cuda, &cfg))
+        cache.run(i, &CellSpec::Workload(k, Strategy::Cuda), &cfg)
     })
     .into_results(&opts);
 

@@ -4,13 +4,14 @@
 //! Paper: Concord, COAL and TypePointer increase total instructions by
 //! 28%, 83% and 19% respectively; Concord halves memory instructions.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -27,7 +28,7 @@ fn main() {
     let cache = opts.cell_cache("fig7");
     let mut results = run_cells("fig7", &opts, &cells, |i, &(k, s)| {
         let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
+        cache.run(i, &CellSpec::Workload(k, s), &cfg)
     })
     .into_results(&opts);
 

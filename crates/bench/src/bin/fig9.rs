@@ -4,12 +4,13 @@
 //! TypePointer 45% — COAL's range-walk loads all hit in L1, which is the
 //! crux of why its extra loads are cheap.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -22,7 +23,7 @@ fn main() {
     let cache = opts.cell_cache("fig9");
     let mut results = run_cells("fig9", &opts, &cells, |i, &(k, s)| {
         let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
+        cache.run(i, &CellSpec::Workload(k, s), &cfg)
     })
     .into_results(&opts);
 

@@ -3,6 +3,7 @@
 //! behavior"): the strategy ordering of Fig. 6 must hold on P100-,
 //! V100- and A100-like machines, each scaled to the workload size.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
@@ -10,7 +11,7 @@ use gvf_bench::report::print_table;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
 use gvf_sim::GpuConfig;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 const STRATEGIES: [Strategy; 4] = [
     Strategy::SharedOa,
@@ -40,7 +41,7 @@ fn main() {
     let mut results = run_cells("generations", &opts, &cells, |i, &(k, mi, s)| {
         let mut cfg = opts.cfg_for_cell(i);
         cfg.gpu = machines[mi].1.clone();
-        cache.run(i, &cfg, || run_workload(k, s, &cfg))
+        cache.run(i, &CellSpec::Workload(k, s), &cfg)
     })
     .into_results(&opts);
 

@@ -13,6 +13,7 @@
 //! with distinct objects per warp under CUDA, stays near the (tiny) walk
 //! cost under COAL, and is exactly zero under TypePointer.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
@@ -20,7 +21,7 @@ use gvf_bench::report::print_table;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
 use gvf_sim::AccessTag;
-use gvf_workloads::{micro, MicroParams};
+use gvf_workloads::MicroParams;
 
 const STRATEGIES: [Strategy; 3] = [Strategy::SharedOa, Strategy::Coal, Strategy::TypePointerHw];
 
@@ -38,7 +39,7 @@ fn main() {
     let cache = opts.cell_cache("table1");
     let mut results = run_cells("table1", &opts, &cells, |i, &(p, s)| {
         let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || micro::run(s, p, &cfg))
+        cache.run(i, &CellSpec::Micro(s, p), &cfg)
     })
     .into_results(&opts);
 

@@ -6,13 +6,14 @@
 //! scale; object counts shrink with `--scale`, the rest should land in
 //! the same ballpark.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::{self, CellRecord};
 use gvf_bench::report::print_table;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadKind};
+use gvf_workloads::WorkloadKind;
 
 fn main() {
     let opts = HarnessOpts::from_args();
@@ -20,7 +21,7 @@ fn main() {
     let cache = opts.cell_cache("table2");
     let mut results = run_cells("table2", &opts, &cells, |i, &k| {
         let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, Strategy::SharedOa, &cfg))
+        cache.run(i, &CellSpec::Workload(k, Strategy::SharedOa), &cfg)
     })
     .into_results(&opts);
 

@@ -1,54 +1,73 @@
-//! Content-addressed cell cache: checkpoint/resume for figure sweeps.
+//! Content-addressed cell cache: one simulation per distinct cell.
 //!
-//! Every grid cell of a figure binary is a pure function of its
-//! simulation configuration — that is the determinism contract the CI
-//! diffs enforce. This module exploits it: a completed cell's
-//! [`RunResult`] is persisted under a **cell key**, the FNV-1a hash of
-//! (schema versions, generator id, cell index, full simulation config),
-//! and a later run with the same key can skip the simulation entirely
-//! (`--resume`). The key deliberately excludes everything the
-//! determinism view excludes — host-perf, wall-clock, `--jobs`,
-//! `--engine-threads` — so a resumed sweep emits **byte-identical**
-//! manifests and attribution artifacts; only the `hostPerf` section
-//! (already stripped by `validate_json --det-diff`) records how many
-//! cells came from the cache.
+//! Every grid cell of a figure binary is a pure function of *what* it
+//! simulates — a [`CellSpec`] (workload and strategy, or microbenchmark
+//! point and strategy) — under *which* configuration, run by *which*
+//! code. That is the determinism contract the CI diffs enforce. This
+//! module exploits it: a completed cell's [`RunResult`] is persisted
+//! under a **cell key**, the FNV-1a hash of (schema versions, build
+//! hash, spec, full simulation config), and any later cell with the same
+//! key — in the same binary, in another figure binary sharing the cache
+//! directory, or in a later run — is served from disk instead of
+//! simulated. Fig. 1b, Table 2 and Figs. 6–9 all read off the same
+//! 11 × 5 grid, so a reproduction simulates each of its 55 cells once.
+//!
+//! The key deliberately excludes everything the determinism view
+//! excludes — host-perf, wall-clock, `--jobs`, `--engine-threads`,
+//! fast-forward — and the binary and grid index that asked for the
+//! cell, so a served cell emits **byte-identical** manifests and
+//! attribution artifacts; only the `hostPerf` section (already stripped
+//! by `validate_json --det-diff`) records how many cells came from the
+//! cache.
 //!
 //! Entries live under `<dir>/.cellcache/<key>.json` (schema
-//! `gvf.cellcache` v1) next to the `--json-out` artifact by default.
-//! Each entry carries a `contentHash` over its own rendering, so a
-//! corrupted or hand-edited entry is detected and re-simulated rather
-//! than trusted (`validate_json` enforces the same check in CI — the
-//! cache-poisoning gate).
+//! `gvf.cellcache` v3) next to the `--json-out` artifact by default.
+//! Each entry records its spec and build hash and carries a
+//! `contentHash` over its own rendering, so a corrupted or hand-edited
+//! entry is detected and re-simulated rather than trusted
+//! (`validate_json` enforces the same check in CI — the cache-poisoning
+//! gate). The `generator` and `cell` members say which binary and grid
+//! cell first wrote the entry; they are provenance, not identity.
 //!
-//! What the cache does **not** key on: the simulator's code. Editing
-//! the engine and resuming against a stale cache will happily replay
-//! old results — `run_all.sh` therefore defaults to *write-only* mode
-//! (`--resume` opts into reads), and the cache directory is safe to
-//! delete at any time.
+//! The build hash (`GVF_BUILD_HASH`, computed by `build.rs` over the
+//! sources of every crate a result depends on) keys entries to the
+//! code: after an edit to the simulator, old entries simply stop
+//! matching. Reads are therefore on whenever the cache is enabled, and
+//! the cache directory is safe to delete at any time.
 //!
 //! Cells that record observability artifacts (`--trace-out` /
 //! `--metrics-out` probe the first cell) bypass the cache entirely:
-//! event streams are large and wall-clock-adjacent, and a resumed run
-//! must still produce them fresh. The mechanism-attribution and
-//! cycle-audit reports are different: both are bounded, deterministic
-//! counters, so they travel *through* the cache (and are keyed, since
-//! they change what a [`RunResult`] carries).
+//! event streams are large and wall-clock-adjacent, and every run must
+//! still produce them fresh. The mechanism-attribution and cycle-audit
+//! reports are different: both are bounded, deterministic counters, so
+//! they travel *through* the cache (and are keyed, since they change
+//! what a [`RunResult`] carries).
 
 use crate::json::Json;
 use gvf_alloc::AllocatorKind;
 use gvf_alloc::{AllocStats, TypeKey, TypeRegionStats};
+use gvf_core::Strategy;
 use gvf_core::{LookupAttrib, LookupKind, TagAttrib, TagMode};
 use gvf_sim::{
     AttribReport, CallSiteStats, CycleAuditReport, LogHist, PcLoadStats, LOG_HIST_BUCKETS,
 };
-use gvf_workloads::{AllocAttribSnapshot, AttribBundle, RunResult, Table2Row, WorkloadConfig};
+use gvf_workloads::{
+    micro, run_workload, AllocAttribSnapshot, AttribBundle, MicroParams, RunResult, Table2Row,
+    WorkloadConfig, WorkloadKind,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cell-cache schema identifier.
 pub const CELLCACHE_SCHEMA: &str = crate::schemas::CELLCACHE.id;
 /// Cell-cache schema version; bump on breaking changes.
 /// v2: entries carry the cycle-audit report and key on `cycle_audit`.
+/// v3: the key is (build, spec, config) — no generator or grid index —
+/// and entries record `spec` and `build`.
 pub const CELLCACHE_SCHEMA_VERSION: u32 = crate::schemas::CELLCACHE.version;
+
+/// Identity of the code that computes a cell: `build.rs`'s hash of the
+/// model and harness sources.
+pub(crate) const BUILD_HASH: &str = env!("GVF_BUILD_HASH");
 
 /// Directory name holding cache entries, under the artifact directory.
 pub const CELLCACHE_DIR: &str = ".cellcache";
@@ -158,16 +177,59 @@ pub fn config_fingerprint(cfg: &WorkloadConfig) -> String {
     )
 }
 
-/// The content-addressed key of grid cell `index` of `generator` under
-/// `cfg`, as a 16-digit hex string (the cache file's basename).
-pub fn cell_key(generator: &str, index: usize, cfg: &WorkloadConfig) -> String {
+/// What one grid cell simulates. Together with its [`WorkloadConfig`]
+/// this is the whole input of the cell, and the only material of its
+/// cache key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CellSpec {
+    /// An application of Table 2 under a dispatch strategy.
+    Workload(WorkloadKind, Strategy),
+    /// A §8.3 microbenchmark point under a dispatch strategy.
+    Micro(Strategy, MicroParams),
+}
+
+impl CellSpec {
+    /// Simulates the cell.
+    pub fn run(&self, cfg: &WorkloadConfig) -> RunResult {
+        match *self {
+            CellSpec::Workload(kind, strategy) => run_workload(kind, strategy, cfg),
+            CellSpec::Micro(strategy, params) => micro::run(strategy, params, cfg),
+        }
+    }
+
+    /// The spec as recorded in cache entries and hashed into the key.
+    pub(crate) fn to_json(self) -> Json {
+        match self {
+            CellSpec::Workload(kind, strategy) => Json::obj()
+                .with("workload", Json::str(kind.label()))
+                .with("strategy", Json::str(strategy.label())),
+            CellSpec::Micro(strategy, p) => Json::obj()
+                .with(
+                    "micro",
+                    Json::obj()
+                        .with("n_objects", Json::num_u64(p.n_objects as u64))
+                        .with("n_types", Json::num_u64(p.n_types as u64)),
+                )
+                .with("strategy", Json::str(strategy.label())),
+        }
+    }
+}
+
+fn key_under(build: &str, spec: &CellSpec, cfg: &WorkloadConfig) -> String {
     let material = format!(
-        "cellcache-v{}\nmanifest-v{}\ngenerator={generator}\ncell={index}\n{}",
+        "cellcache-v{}\nmanifest-v{}\nbuild={build}\nspec={}\n{}",
         CELLCACHE_SCHEMA_VERSION,
         crate::manifest::MANIFEST_SCHEMA_VERSION,
+        spec.to_json().render_compact(),
         config_fingerprint_json(cfg).render(),
     );
     format!("{:016x}", fnv1a64(material.as_bytes()))
+}
+
+/// The content-addressed key of `spec` under `cfg` and this build, as a
+/// 16-digit hex string (the cache file's basename).
+pub fn cell_key(spec: &CellSpec, cfg: &WorkloadConfig) -> String {
+    key_under(BUILD_HASH, spec, cfg)
 }
 
 fn u64_arr(v: &[u64]) -> Json {
@@ -589,30 +651,45 @@ fn parse_result(j: &Json) -> Option<RunResult> {
     })
 }
 
-/// Builds the `gvf.cellcache` entry document for one completed cell.
-pub fn entry_doc(generator: &str, index: usize, key: &str, r: &RunResult) -> Json {
+/// Builds the `gvf.cellcache` entry document for one cell completed by
+/// `build`; `generator` and `index` record which binary and grid cell
+/// wrote it.
+fn entry_doc(
+    build: &str,
+    generator: &str,
+    index: usize,
+    spec: &CellSpec,
+    key: &str,
+    r: &RunResult,
+) -> Json {
     let doc = Json::obj()
         .with("schema", Json::str(CELLCACHE_SCHEMA))
         .with("version", Json::num_u64(CELLCACHE_SCHEMA_VERSION as u64))
+        .with("key", Json::str(key))
+        .with("build", Json::str(build))
+        .with("spec", spec.to_json())
         .with("generator", Json::str(generator))
         .with("cell", Json::num_u64(index as u64))
-        .with("key", Json::str(key))
         .with("contentHash", Json::str(""))
         .with("result", result_json(r));
+    sealed(doc)
+}
+
+/// `doc` with its `contentHash` member set to the hash of the rest.
+fn sealed(doc: Json) -> Json {
     let hash = content_hash(&doc);
-    Json::Obj(match doc {
-        Json::Obj(members) => members
-            .into_iter()
-            .map(|(k, v)| {
-                if k == "contentHash" {
-                    (k, Json::str(&hash))
-                } else {
-                    (k, v)
-                }
-            })
-            .collect(),
-        _ => unreachable!(),
-    })
+    match doc {
+        Json::Obj(members) => Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| match k.as_str() {
+                    "contentHash" => (k, Json::str(&hash)),
+                    _ => (k, v),
+                })
+                .collect(),
+        ),
+        other => other,
+    }
 }
 
 /// The integrity hash of an entry: FNV-1a over the document's rendering
@@ -650,10 +727,13 @@ pub fn verify_entry(doc: &Json) -> Result<(), String> {
             "unsupported version (want {CELLCACHE_SCHEMA_VERSION})"
         ));
     }
-    for field in ["generator", "key", "contentHash"] {
+    for field in ["key", "build", "generator", "contentHash"] {
         if doc.get(field).and_then(Json::as_str).is_none() {
             return Err(format!("missing string field {field}"));
         }
+    }
+    if !matches!(doc.get("spec"), Some(Json::Obj(_))) {
+        return Err("missing spec".to_string());
     }
     if doc.get("cell").and_then(Json::as_num).is_none() {
         return Err("missing cell index".to_string());
@@ -672,25 +752,23 @@ pub fn verify_entry(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// A per-binary handle on the cache directory.
-///
-/// `read` is `--resume`; writes happen whenever the cache is enabled
-/// (so a default run warms the cache for a later `--resume`). A `None`
-/// directory disables everything — [`CellCache::run`] degrades to
-/// calling the simulation closure directly.
+/// A per-binary handle on the cache directory. A `None` directory
+/// disables it: [`CellCache::run`] then simulates every cell.
 pub struct CellCache {
     dir: Option<String>,
-    read: bool,
     quiet: bool,
     generator: String,
 }
 
+/// Distinguishes the temp files of one process's concurrent writers.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 impl CellCache {
-    /// A cache rooted at `dir` (`None` = disabled).
-    pub fn new(dir: Option<String>, read: bool, quiet: bool, generator: &str) -> Self {
+    /// A cache rooted at `dir` (`None` = disabled); `generator` names
+    /// the binary in diagnostics and entry provenance.
+    pub fn new(dir: Option<String>, quiet: bool, generator: &str) -> Self {
         CellCache {
             dir,
-            read,
             quiet,
             generator: generator.to_string(),
         }
@@ -698,7 +776,7 @@ impl CellCache {
 
     /// A disabled cache: every cell simulates.
     pub fn disabled(generator: &str) -> Self {
-        CellCache::new(None, false, true, generator)
+        CellCache::new(None, true, generator)
     }
 
     fn path_for(&self, key: &str) -> Option<std::path::PathBuf> {
@@ -707,7 +785,7 @@ impl CellCache {
             .map(|d| std::path::Path::new(d).join(format!("{key}.json")))
     }
 
-    fn try_read(&self, index: usize, key: &str) -> Option<RunResult> {
+    fn try_read(&self, spec: &CellSpec, key: &str) -> Option<RunResult> {
         let path = self.path_for(key)?;
         let text = std::fs::read_to_string(&path).ok()?;
         let doc = Json::parse(&text).ok()?;
@@ -721,24 +799,31 @@ impl CellCache {
             }
             return None;
         }
-        if doc.get("generator").and_then(Json::as_str) != Some(self.generator.as_str())
-            || doc.get("cell").and_then(Json::as_num) != Some(index as f64)
-            || doc.get("key").and_then(Json::as_str) != Some(key)
+        if doc.get("key").and_then(Json::as_str) != Some(key)
+            || doc.get("build").and_then(Json::as_str) != Some(BUILD_HASH)
+            || doc.get("spec") != Some(&spec.to_json())
         {
             return None;
         }
         parse_result(doc.get("result")?)
     }
 
-    fn write(&self, index: usize, key: &str, r: &RunResult) {
+    /// Persists one cell's entry; `true` when it was published.
+    fn write(&self, index: usize, spec: &CellSpec, key: &str, r: &RunResult) -> bool {
         let Some(path) = self.path_for(key) else {
-            return;
+            return false;
         };
-        let doc = entry_doc(&self.generator, index, key, r);
+        let doc = entry_doc(BUILD_HASH, &self.generator, index, spec, key, r);
         // Atomic publish: a concurrent or killed writer never leaves a
-        // torn entry under the final name. I/O errors only cost the
-        // cache, never the run.
-        let tmp = path.with_extension("json.tmp");
+        // torn entry under the final name. Each writer gets its own temp
+        // file — two processes sharing a cache directory, or two cells
+        // of one grid with equal specs, may write the same key at once.
+        // I/O errors only cost the cache, never the run.
+        let tmp = path.with_extension(format!(
+            "json.{}.{}.tmp",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let ok = (|| -> std::io::Result<()> {
             if let Some(parent) = path.parent() {
                 std::fs::create_dir_all(parent)?;
@@ -749,8 +834,10 @@ impl CellCache {
         match ok {
             Ok(()) => {
                 CACHE_WRITES.fetch_add(1, Ordering::Relaxed);
+                true
             }
             Err(e) => {
+                let _ = std::fs::remove_file(&tmp);
                 if !self.quiet {
                     eprintln!(
                         "[{}] could not write cache entry {}: {e}",
@@ -758,37 +845,32 @@ impl CellCache {
                         path.display()
                     );
                 }
+                false
             }
         }
     }
 
-    /// Produces cell `index`'s result: from the cache when resuming and
-    /// a valid entry exists, otherwise by running `f` (and persisting
-    /// its result). Cells whose probe spec records timeline or metrics
-    /// streams bypass the cache entirely (see the module docs).
-    pub fn run(
-        &self,
-        index: usize,
-        cfg: &WorkloadConfig,
-        f: impl FnOnce() -> RunResult,
-    ) -> RunResult {
+    /// Produces the result of grid cell `index`, which simulates `spec`
+    /// under `cfg`: from the cache when a valid entry exists, otherwise
+    /// by simulating it (and persisting the result). Cells whose probe
+    /// spec records timeline or metrics streams bypass the cache
+    /// entirely (see the module docs).
+    pub fn run(&self, index: usize, spec: &CellSpec, cfg: &WorkloadConfig) -> RunResult {
         let observed = cfg.probe.timeline_events_per_sm > 0 || cfg.probe.metrics_bucket_cycles > 0;
         if self.dir.is_none() || observed {
-            return f();
+            return spec.run(cfg);
         }
-        let key = cell_key(&self.generator, index, cfg);
-        if self.read {
-            if let Some(r) = self.try_read(index, &key) {
-                CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-                // The pool will report this cell finished; the events
-                // stream turns that into a cellCacheHit terminal.
-                crate::events::note_cache_hit(index, &key);
-                return r;
-            }
+        let key = cell_key(spec, cfg);
+        if let Some(r) = self.try_read(spec, &key) {
+            CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+            // The pool will report this cell finished; the events
+            // stream turns that into a cellCacheHit terminal.
+            crate::events::note_cache_hit(index, &key);
+            return r;
         }
         CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-        let r = f();
-        self.write(index, &key, &r);
+        let r = spec.run(cfg);
+        self.write(index, spec, &key, &r);
         r
     }
 }
@@ -939,14 +1021,18 @@ mod tests {
         assert!(b.obs.is_none());
     }
 
+    const SPEC: CellSpec = CellSpec::Workload(WorkloadKind::GameOfLife, Strategy::Coal);
+
     #[test]
     fn entry_round_trips_losslessly() {
         let r = sample_result();
         let cfg = WorkloadConfig::tiny();
-        let key = cell_key("fig6", 3, &cfg);
-        let doc = entry_doc("fig6", 3, &key, &r);
+        let key = cell_key(&SPEC, &cfg);
+        let doc = entry_doc(BUILD_HASH, "fig6", 3, &SPEC, &key, &r);
         let parsed = Json::parse(&doc.render()).expect("parse");
         verify_entry(&parsed).expect("verifies");
+        assert_eq!(parsed.get("spec"), Some(&SPEC.to_json()));
+        assert_eq!(parsed.get("build").and_then(Json::as_str), Some(BUILD_HASH));
         let decoded = parse_result(parsed.get("result").expect("result")).expect("decode");
         results_equal(&r, &decoded);
     }
@@ -955,8 +1041,8 @@ mod tests {
     fn tampering_breaks_the_content_hash() {
         let r = sample_result();
         let cfg = WorkloadConfig::tiny();
-        let key = cell_key("fig6", 0, &cfg);
-        let doc = entry_doc("fig6", 0, &key, &r);
+        let key = cell_key(&SPEC, &cfg);
+        let doc = entry_doc(BUILD_HASH, "fig6", 0, &SPEC, &key, &r);
         verify_entry(&doc).expect("fresh entry verifies");
         // Poison a counter without updating the hash.
         let poisoned = Json::parse(&doc.render().replace("12345", "1")).expect("parse");
@@ -965,57 +1051,174 @@ mod tests {
     }
 
     #[test]
-    fn key_tracks_config_generator_and_index() {
+    fn entries_of_other_versions_or_without_identity_are_rejected() {
         let cfg = WorkloadConfig::tiny();
-        let base = cell_key("fig6", 0, &cfg);
-        assert_eq!(base, cell_key("fig6", 0, &cfg), "stable");
-        assert_ne!(base, cell_key("fig7", 0, &cfg), "generator keyed");
-        assert_ne!(base, cell_key("fig6", 1, &cfg), "index keyed");
-        let mut other = cfg.clone();
-        other.seed ^= 1;
-        assert_ne!(base, cell_key("fig6", 0, &other), "config keyed");
-        // Host-side knobs are excluded, like the determinism view.
-        let mut threads = cfg.clone();
-        threads.engine_threads = 8;
-        assert_eq!(
-            base,
-            cell_key("fig6", 0, &threads),
-            "engine_threads excluded"
-        );
-        let mut no_ff = cfg.clone();
-        no_ff.fast_forward = false;
-        assert_eq!(base, cell_key("fig6", 0, &no_ff), "fast_forward excluded");
-        // The audit changes what a RunResult carries, so it is keyed.
-        let mut audited = cfg.clone();
-        audited.probe.cycle_audit = true;
-        assert_ne!(base, cell_key("fig6", 0, &audited), "cycle_audit keyed");
+        let key = cell_key(&SPEC, &cfg);
+        let doc = entry_doc(BUILD_HASH, "fig6", 0, &SPEC, &key, &sample_result());
+        let Json::Obj(members) = doc else {
+            unreachable!()
+        };
+        // Each variant is resealed with a matching content hash, so only
+        // the structural checks can reject it.
+        let v2 = sealed(Json::Obj(
+            members
+                .iter()
+                .filter(|(k, _)| k != "spec" && k != "build")
+                .map(|(k, v)| match k.as_str() {
+                    "version" => (k.clone(), Json::num_u64(2)),
+                    _ => (k.clone(), v.clone()),
+                })
+                .collect(),
+        ));
+        let err = verify_entry(&v2).expect_err("v2 entry rejected");
+        assert!(err.contains("unsupported version"), "{err}");
+        for field in ["spec", "build"] {
+            let missing = sealed(Json::Obj(
+                members
+                    .iter()
+                    .filter(|(k, _)| k != field)
+                    .cloned()
+                    .collect(),
+            ));
+            let err = verify_entry(&missing).expect_err("entry without identity rejected");
+            assert!(err.contains(field), "{field}: {err}");
+        }
     }
 
     #[test]
-    fn cache_round_trips_through_disk_and_counts() {
+    fn key_is_spec_config_and_build_only() {
+        let cfg = WorkloadConfig::tiny();
+        let base = cell_key(&SPEC, &cfg);
+        assert_eq!(base, cell_key(&SPEC, &cfg), "stable");
+        // Neither the generator nor the grid index is key material: any
+        // binary asking for this cell at any position gets this key.
+        let doc = entry_doc(BUILD_HASH, "fig7", 41, &SPEC, &base, &sample_result());
+        assert_eq!(doc.get("key").and_then(Json::as_str), Some(base.as_str()));
+
+        // Each part of the spec is keyed.
+        for other in [
+            CellSpec::Workload(WorkloadKind::Traffic, Strategy::Coal),
+            CellSpec::Workload(WorkloadKind::GameOfLife, Strategy::SharedOa),
+        ] {
+            assert_ne!(base, cell_key(&other, &cfg), "{other:?} keyed");
+        }
+        let p = MicroParams {
+            n_objects: 4096,
+            n_types: 4,
+        };
+        let micro = cell_key(&CellSpec::Micro(Strategy::Coal, p), &cfg);
+        assert_ne!(base, micro, "workload vs micro keyed");
+        for q in [
+            MicroParams {
+                n_objects: 8192,
+                ..p
+            },
+            MicroParams { n_types: 8, ..p },
+        ] {
+            assert_ne!(
+                micro,
+                cell_key(&CellSpec::Micro(Strategy::Coal, q), &cfg),
+                "{q:?} keyed"
+            );
+        }
+        assert_ne!(
+            micro,
+            cell_key(&CellSpec::Micro(Strategy::Branch, p), &cfg),
+            "micro strategy keyed"
+        );
+
+        // The config is keyed.
+        let mut other = cfg.clone();
+        other.seed ^= 1;
+        assert_ne!(base, cell_key(&SPEC, &other), "config keyed");
+        // Host-side knobs are excluded, like the determinism view.
+        let mut threads = cfg.clone();
+        threads.engine_threads = 8;
+        assert_eq!(base, cell_key(&SPEC, &threads), "engine_threads excluded");
+        let mut no_ff = cfg.clone();
+        no_ff.fast_forward = false;
+        assert_eq!(base, cell_key(&SPEC, &no_ff), "fast_forward excluded");
+        // `--jobs` is not part of a WorkloadConfig at all, so it cannot
+        // reach the key; the fingerprint has no member for it either.
+        let fp = config_fingerprint_json(&cfg).render();
+        assert!(!fp.contains("jobs") && !fp.contains("threads"), "{fp}");
+        // The audit changes what a RunResult carries, so it is keyed.
+        let mut audited = cfg.clone();
+        audited.probe.cycle_audit = true;
+        assert_ne!(base, cell_key(&SPEC, &audited), "cycle_audit keyed");
+
+        // Other code, other key.
+        assert_eq!(base, key_under(BUILD_HASH, &SPEC, &cfg));
+        assert_ne!(
+            base,
+            key_under("0000000000000000", &SPEC, &cfg),
+            "build keyed"
+        );
+    }
+
+    #[test]
+    fn cache_round_trips_through_disk_and_rejects_other_builds() {
         let dir = std::env::temp_dir().join(format!("gvf-cellcache-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = WorkloadConfig::tiny();
-        let cache = CellCache::new(Some(dir.to_string_lossy().into_owned()), true, true, "t");
-        let mut ran = 0;
-        let r1 = cache.run(0, &cfg, || {
-            ran += 1;
-            sample_result()
-        });
-        let r2 = cache.run(0, &cfg, || {
-            ran += 1;
-            sample_result()
-        });
-        assert_eq!(ran, 1, "second run came from the cache");
+        let spec = CellSpec::Micro(
+            Strategy::Cuda,
+            MicroParams {
+                n_objects: 256,
+                n_types: 2,
+            },
+        );
+        let cache = CellCache::new(Some(dir.to_string_lossy().into_owned()), true, "t");
+        let key = cell_key(&spec, &cfg);
+        assert!(cache.try_read(&spec, &key).is_none(), "cold cache");
+        let r1 = cache.run(0, &spec, &cfg);
+        let r2 = cache
+            .try_read(&spec, &key)
+            .expect("first run persisted its cell");
         results_equal(&r1, &r2);
-        // Probed cells bypass the cache.
-        let mut probed = cfg.clone();
-        probed.probe.timeline_events_per_sm = 16;
-        cache.run(0, &probed, || {
-            ran += 1;
-            sample_result()
+        results_equal(&r2, &cache.run(5, &spec, &cfg));
+
+        // An entry some other build wrote under this key is not trusted.
+        let foreign = entry_doc("0000000000000000", "t", 0, &spec, &key, &sample_result());
+        std::fs::write(cache.path_for(&key).expect("path"), foreign.render()).expect("write");
+        assert!(
+            cache.try_read(&spec, &key).is_none(),
+            "foreign build ignored"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_key_all_publish_whole_entries() {
+        let dir = std::env::temp_dir().join(format!("gvf-cellcache-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = WorkloadConfig::tiny();
+        let cache = CellCache::new(Some(dir.to_string_lossy().into_owned()), true, "t");
+        let key = cell_key(&SPEC, &cfg);
+        let r = sample_result();
+        // With a shared temp name, one writer's rename moves another's
+        // file away (or publishes it half-written), so some writes fail.
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for w in 0..4 {
+                let (cache, key, r, start) = (&cache, &key, &r, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..25 {
+                        assert!(cache.write(w * 100 + i, &SPEC, key, r), "writer {w}");
+                        let text = std::fs::read_to_string(cache.path_for(key).expect("path"))
+                            .expect("entry readable");
+                        verify_entry(&Json::parse(&text).expect("whole entry")).expect("valid");
+                    }
+                });
+            }
         });
-        assert_eq!(ran, 2, "observed cell re-simulated");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, [format!("{key}.json")], "no temp files left");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -48,9 +48,12 @@ pub struct HarnessOpts {
     /// here (`--audit-out`). Byte-identical for any `--jobs` /
     /// `--engine-threads` value.
     pub audit_out: Option<String>,
-    /// Read completed cells back from the content-addressed cell cache
-    /// (`--resume`) instead of re-simulating them. Resumed sweeps emit
-    /// byte-identical manifests (see [`crate::cellcache`]).
+    /// `--resume`: read completed cells back from the content-addressed
+    /// cell cache instead of re-simulating them. This is the default
+    /// whenever the cache is enabled — entries are keyed to the code, so
+    /// a stale one never matches — and the flag is kept for scripts that
+    /// pass it. Served cells emit byte-identical manifests (see
+    /// [`crate::cellcache`]).
     pub resume: bool,
     /// Disable the cell cache entirely (`--no-cache`): no reads, no
     /// writes. Mutually exclusive with `--resume`.
@@ -222,7 +225,7 @@ impl HarnessOpts {
                          --no-fast-forward (plain epoch ticking)  --smoke  \
                          --quiet  --json-out PATH  --trace-out PATH  --metrics-out PATH  \
                          --attrib-out PATH  --profile-out PATH  --audit-out PATH  \
-                         --resume  --no-cache  --cache-dir DIR  --events-out PATH  \
+                         --resume (the default)  --no-cache  --cache-dir DIR  --events-out PATH  \
                          --stall-factor X (default 8)  --fail-cell N (panic injection)  \
                          --slow-cell N (wall-clock slowdown injection)"
                     );
@@ -294,12 +297,10 @@ impl HarnessOpts {
     }
 
     /// The content-addressed cell cache for this run (see
-    /// [`crate::cellcache`]). Enabled whenever a cache directory can be
-    /// derived — `--cache-dir`, or `.cellcache/` next to `--json-out` —
-    /// and `--no-cache` was not given; reads additionally require
-    /// `--resume`. A default run is therefore *write-only*: it warms
-    /// the cache so an interrupted sweep can be resumed, but never
-    /// trusts stale entries unless asked to.
+    /// [`crate::cellcache`]). Enabled — reads and writes — whenever a
+    /// cache directory can be derived (`--cache-dir`, or `.cellcache/`
+    /// next to `--json-out`) and `--no-cache` was not given, so figure
+    /// binaries sharing a directory simulate each distinct cell once.
     pub fn cell_cache(&self, generator: &str) -> crate::cellcache::CellCache {
         if self.no_cache {
             return crate::cellcache::CellCache::disabled(generator);
@@ -316,7 +317,7 @@ impl HarnessOpts {
                     .into_owned()
             })
         });
-        crate::cellcache::CellCache::new(dir, self.resume, self.quiet, generator)
+        crate::cellcache::CellCache::new(dir, self.quiet, generator)
     }
 
     /// The configuration for grid cell `i`. Timeline/metrics recording

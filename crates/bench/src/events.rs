@@ -455,6 +455,10 @@ fn watchdog_tick() {
     let t = now_ms();
     let mut guard = inner().lock().expect("events mutex");
     let inner = &mut *guard;
+    // runEnd is the stream's last event; this thread outlives it.
+    if inner.run_ended {
+        return;
+    }
     // Periodic resource sample: RSS + CPU from /proc, span-registry
     // deltas since the previous sample.
     if t.saturating_sub(inner.last_resource_ms) >= RESOURCE_SAMPLE_MS {

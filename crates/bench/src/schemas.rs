@@ -79,7 +79,7 @@ pub const HOSTPERF: Schema = Schema {
 /// Content-addressed cell-cache entries.
 pub const CELLCACHE: Schema = Schema {
     id: "gvf.cellcache",
-    version: 2,
+    version: 3,
 };
 /// Live JSONL telemetry stream.
 pub const EVENTS: Schema = Schema {

@@ -38,7 +38,7 @@ use std::time::Instant;
 /// One dead cell of a sweep: where it died, what the panic said, which
 /// worker it was on, how long it queued, and the fingerprint of the
 /// configuration that killed it (reproducible via `--seed`/knob flags;
-/// the fingerprint is what the cell cache would have keyed it by — see
+/// the fingerprint is the config half of the cell's cache key — see
 /// [`crate::cellcache`]).
 #[derive(Clone, Debug)]
 pub struct SweepFailure {

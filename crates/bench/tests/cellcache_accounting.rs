@@ -10,12 +10,13 @@
 //! the test needs a process where no other sweep has ever run. Keep it
 //! the only `#[test]` here.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::hostperf::host_perf_json;
 use gvf_bench::json::Json;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, RunResult, WorkloadConfig, WorkloadKind};
+use gvf_workloads::{RunResult, WorkloadConfig, WorkloadKind};
 
 fn opts(cache_dir: &std::path::Path, resume: bool) -> HarnessOpts {
     HarnessOpts {
@@ -51,7 +52,7 @@ fn sweep(label: &str, opts: &HarnessOpts, cells: &[WorkloadKind]) -> Vec<RunResu
     let cache = opts.cell_cache("cacheacct");
     run_cells(label, opts, cells, |i, &k| {
         let cfg = opts.cfg_for_cell(i);
-        cache.run(i, &cfg, || run_workload(k, Strategy::Cuda, &cfg))
+        cache.run(i, &CellSpec::Workload(k, Strategy::Cuda), &cfg)
     })
     .expect_all()
 }
@@ -64,7 +65,7 @@ fn cache_counters_and_pool_timers_reconcile_on_resume() {
     let cells: Vec<WorkloadKind> = WorkloadKind::EVALUATED.to_vec();
     let n = cells.len() as u64;
 
-    // Fresh sweep: write-only cache — every cell simulates and every
+    // Fresh sweep into an empty cache: every cell simulates and every
     // cell is persisted.
     let fresh = sweep("fresh", &opts(&dir, false), &cells);
     // Resumed sweep: every cell is served from the cache.

@@ -11,13 +11,14 @@
 //! process-global, so the test needs a process of its own. Keep it the
 //! only `#[test]` here.
 
+use gvf_bench::cellcache::CellSpec;
 use gvf_bench::cli::HarnessOpts;
 use gvf_bench::events;
 use gvf_bench::json::Json;
 use gvf_bench::manifest::failure_manifest;
 use gvf_bench::sweep::run_cells;
 use gvf_core::Strategy;
-use gvf_workloads::{run_workload, WorkloadConfig, WorkloadKind};
+use gvf_workloads::{WorkloadConfig, WorkloadKind};
 
 fn opts(cache_dir: &std::path::Path, resume: bool, fail_cell: Option<usize>) -> HarnessOpts {
     HarnessOpts {
@@ -72,7 +73,7 @@ fn sweep_telemetry_reconciles_with_what_happened() {
     let cache1 = o1.cell_cache("evtest");
     let run1 = run_cells("evsweep1", &o1, &cells, |i, &k| {
         let cfg = o1.cfg_for_cell(i);
-        cache1.run(i, &cfg, || run_workload(k, Strategy::Cuda, &cfg))
+        cache1.run(i, &CellSpec::Workload(k, Strategy::Cuda), &cfg)
     });
 
     let failures = run1.failures();
@@ -115,10 +116,14 @@ fn sweep_telemetry_reconciles_with_what_happened() {
     let cache2 = o2.cell_cache("evtest");
     let run2 = run_cells("evsweep2", &o2, &cells, |i, &k| {
         let cfg = o2.cfg_for_cell(i);
-        cache2.run(i, &cfg, || run_workload(k, Strategy::Cuda, &cfg))
+        cache2.run(i, &CellSpec::Workload(k, Strategy::Cuda), &cfg)
     });
     assert!(run2.failures().is_empty());
     events::run_end("ok");
+    // The watchdog thread outlives the run: give it time for one more
+    // resource sample (due every second, checked every 250 ms), which
+    // must not land after runEnd.
+    std::thread::sleep(std::time::Duration::from_millis(1500));
 
     // The stream on disk validates and rolls up to exactly this story.
     let text = std::fs::read_to_string(&events_path).expect("events file");

@@ -21,10 +21,19 @@
 # --quiet trims the tooling chatter: the diffrun summary and the report
 # progress line are silenced (failures still print, exit codes are
 # unchanged).
-# --resume reads completed cells back from $OUT/.cellcache/ (after an
-# interrupted or failed run) instead of re-simulating; manifests come
-# out byte-identical to an uninterrupted run apart from hostPerf.
-# --no-cache disables the cell cache entirely.
+# The binaries share one cell cache, $OUT/.cellcache/, keyed on what a
+# cell simulates (workload or microbenchmark point, strategy, config)
+# and on a hash of the code: each distinct cell is simulated once, and
+# every later binary that needs it (fig7-9 reuse fig6's grid, fig6
+# reuses fig1b's and table2's cells) reads it back. Manifests come out
+# byte-identical apart from hostPerf, which counts the cached cells.
+# By default the cache is cleared before the first binary, so a
+# reproduction simulates every distinct cell fresh and its profiles
+# describe real work.
+# --resume keeps $OUT/.cellcache/ from an earlier (interrupted or
+# failed) run, so only the cells it did not finish are simulated.
+# --no-cache disables the cell cache entirely: every binary simulates
+# its whole grid.
 # --baseline DIR diffs this run against a previous artifact tree: after
 # validation, diffrun writes $OUT/rundiff.json (gvf.rundiff — semantic /
 # performance / coverage drift, every regression attributed), the
@@ -54,6 +63,7 @@ JOBS=0
 OUT=results
 KEEP_GOING=0
 CACHE_FLAGS=()
+RESUME=0
 SMOKE_FLAGS=()
 QUIET_FLAGS=()
 BASELINE=""
@@ -75,9 +85,9 @@ while [ $# -gt 0 ]; do
     --quiet)
       QUIET_FLAGS=(--quiet); shift ;;
     --resume)
-      CACHE_FLAGS=(--resume); shift ;;
+      CACHE_FLAGS=(--resume); RESUME=1; shift ;;
     --no-cache)
-      CACHE_FLAGS=(--no-cache); shift ;;
+      CACHE_FLAGS=(--no-cache); RESUME=0; shift ;;
     *)
       echo "error: unknown argument '$1' (usage: $0 [--jobs N] [--out DIR] [--keep-going] [--smoke] [--quiet] [--resume | --no-cache] [--baseline DIR])" >&2; exit 2 ;;
   esac
@@ -107,6 +117,10 @@ run_step() {
 mkdir -p "$OUT"
 
 run_step "cargo test" cargo test --workspace 2>&1 | tee test_output.txt
+
+if [ "$RESUME" = 0 ]; then
+  rm -rf "$OUT/.cellcache"
+fi
 
 {
   echo
