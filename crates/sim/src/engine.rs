@@ -91,9 +91,10 @@ struct SectorReq {
     /// Cycle the sector may enter the L2 (post L1 latency + MSHR wait);
     /// for stores, the issue cycle.
     ready: u64,
-    /// Index of the placeholder MSHR entry to overwrite with the real
-    /// fill time (`usize::MAX` for stores, which allocate no MSHR).
-    mshr_slot: usize,
+    /// The placeholder MSHR entry to move to the real fill time (`0`
+    /// for stores, which allocate no MSHR). Entries are told apart by
+    /// value only, which is all [`MshrFile::fill`] needs.
+    mshr_placeholder: u64,
 }
 
 /// One load or store batch queued by phase A for canonical phase-B
@@ -123,20 +124,14 @@ struct SmState<P: Probe> {
     l1: SectoredCache,
     cmem: SectoredCache,
     l1_free_at: u64,
-    /// Completion times of outstanding L1 miss sectors (MSHR model):
-    /// when full, new misses wait for the earliest outstanding one.
+    /// Completion times of outstanding L1 miss sectors (MSHR model),
+    /// sorted: when full, new misses wait for the earliest outstanding
+    /// one, and the scheduler holds back loads that would not fit.
     /// Misses queued this epoch hold a lower-bound placeholder until
-    /// phase B computes the real fill time. Completed entries are
-    /// garbage-collected lazily (see [`sm_prologue`]) — every reader
-    /// filters on `> now`, so dead entries are invisible.
-    mshr: Vec<u64>,
-    /// Upper bound on the completion times in `mshr` (exact unless a
-    /// GC ran since the max was pushed): lets the prologue clear the
-    /// whole file in O(1) once everything completed.
-    mshr_max: u64,
-    /// Length past which the prologue compacts `mshr` (the in-flight
-    /// ceiling plus one warp of slack).
-    mshr_gc_at: usize,
+    /// phase B moves it to the real fill time. Completed entries are
+    /// garbage-collected lazily in the prologue — every reader asks
+    /// only about entries `> now`, so dead entries are invisible.
+    mshr: MshrFile,
     /// Resident warp state, structure-of-arrays indexed by slot: the
     /// hot scheduler scan touches only `w_ready`, so a 64-warp SM's
     /// scan walks one dense `u64` array instead of striding through a
@@ -255,24 +250,102 @@ impl<P: Probe> SmState<P> {
     }
 }
 
+/// One SM's MSHR file: the completion cycles of its L1 miss sectors,
+/// kept in ascending order. Every question the engine asks of the file
+/// is "how many entries complete after `t`, and which is first" —
+/// asked by the scheduler on each pick of a load and by each missing
+/// sector — so sorting turns it into one binary search. The answer
+/// depends only on the multiset of completion cycles above `t`, never
+/// on entry order or on how many dead entries (`≤ t`) linger, so
+/// neither the sorting nor the lazy GC can change a simulated result.
+struct MshrFile {
+    /// Completion cycles, ascending. Capacity is fixed at setup (see
+    /// `setup`): the file never reallocates.
+    done: Vec<u64>,
+    /// Length past which [`gc`](MshrFile::gc) drops the completed
+    /// prefix (the in-flight ceiling plus one warp of slack).
+    gc_at: usize,
+}
+
+impl MshrFile {
+    fn new(capacity: usize, gc_at: usize) -> Self {
+        MshrFile {
+            done: Vec::with_capacity(capacity),
+            gc_at,
+        }
+    }
+
+    /// Raw length, dead entries included: an upper bound on
+    /// outstanding entries, so a short file answers "cannot gate"
+    /// without a lookup.
+    fn len(&self) -> usize {
+        self.done.len()
+    }
+
+    /// `(outstanding, earliest)`: how many entries complete after `t`,
+    /// and the first of those completions (`u64::MAX` if none).
+    fn after(&self, t: u64) -> (usize, u64) {
+        let i = self.done.partition_point(|&c| c <= t);
+        (
+            self.done.len() - i,
+            self.done.get(i).copied().unwrap_or(u64::MAX),
+        )
+    }
+
+    /// Adds an entry completing at `c` (a phase-A placeholder).
+    fn push(&mut self, c: u64) {
+        debug_assert!(
+            self.done.len() < self.done.capacity(),
+            "MSHR file over its preallocated capacity"
+        );
+        let i = self.done.partition_point(|&x| x <= c);
+        self.done.insert(i, c);
+    }
+
+    /// Moves one entry at `placeholder` to the real fill time
+    /// `filled ≥ placeholder` (phase B). Equal entries cannot be told
+    /// apart, so any one of them is the right one; taking the last
+    /// keeps the shift short.
+    fn fill(&mut self, placeholder: u64, filled: u64) {
+        debug_assert!(filled >= placeholder, "fill before its placeholder");
+        let i = self.done.partition_point(|&c| c <= placeholder) - 1;
+        debug_assert_eq!(self.done[i], placeholder, "placeholder not in file");
+        let j = i + self.done[i..].partition_point(|&c| c <= filled) - 1;
+        self.done.copy_within(i + 1..=j, i);
+        self.done[j] = filled;
+    }
+
+    /// Epoch-prologue GC at `now`. Eager per-epoch pruning was once
+    /// the single hottest line in phase A (an O(len) sweep per SM per
+    /// epoch, live or not); dead entries only cost binary-search depth
+    /// and can be dropped on any schedule. Clear in O(1) once
+    /// everything completed; drop the completed prefix only when the
+    /// file grows past the in-flight ceiling — each drop then frees at
+    /// least a warp's worth of slots, keeping the cost amortized O(1)
+    /// per push and the length below the preallocated capacity.
+    fn gc(&mut self, now: u64) {
+        match self.done.last() {
+            Some(&last) if last <= now => self.done.clear(),
+            Some(_) if self.done.len() >= self.gc_at => {
+                let i = self.done.partition_point(|&c| c <= now);
+                self.done.drain(..i);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// Non-destructive MSHR reservation: the time a miss starting at `t`
 /// may enter the memory system, given the outstanding entries. The
 /// caller pushes the new entry itself; completed entries are garbage
 /// collected once per epoch in the prologue.
-fn mshr_acquire(mshr: &[u64], cap: usize, t: u64) -> u64 {
+fn mshr_acquire(mshr: &MshrFile, cap: usize, t: u64) -> u64 {
     // Outstanding entries are a subset of the raw file, so a file with
     // spare raw slots can never gate — the common case, answered O(1).
     if mshr.len() < cap {
         return t;
     }
-    let mut outstanding = 0usize;
-    let mut earliest = u64::MAX;
-    for &c in mshr {
-        if c > t {
-            outstanding += 1;
-            earliest = earliest.min(c);
-        }
-    }
+    let (outstanding, earliest) = mshr.after(t);
     if outstanding < cap {
         t
     } else {
@@ -684,9 +757,7 @@ fn setup<P: Probe>(
             l1: SectoredCache::new(cfg.l1_bytes, cfg.l1_ways, cfg.line_bytes, cfg.sector_bytes),
             cmem: SectoredCache::new(cfg.const_bytes, 4, 64, 64),
             l1_free_at: 0,
-            mshr: Vec::with_capacity(mshr_cap),
-            mshr_max: 0,
-            mshr_gc_at: cfg.mshr_per_sm + warp_size,
+            mshr: MshrFile::new(mshr_cap, cfg.mshr_per_sm + warp_size),
             w_trace: Vec::new(),
             w_pc: Vec::new(),
             w_ready: Vec::new(),
@@ -783,21 +854,7 @@ fn sm_prologue<P: Probe>(sm: &mut SmState<P>, cycle: u64) {
         }
     }
     sm.retiring.clear();
-    // Lazy MSHR GC. Eager per-epoch `retain` was the single hottest
-    // line in phase A (an O(len) sweep per SM per epoch, live or not);
-    // all readers filter on `> now`, so dead entries only cost scan
-    // width and can be dropped on any schedule. Clear in O(1) once
-    // everything completed, compact only when the file grows past the
-    // in-flight ceiling — each compaction then frees at least a warp's
-    // worth of slots, keeping the cost amortized O(1) per push and the
-    // length below the preallocated capacity.
-    if !sm.mshr.is_empty() {
-        if sm.mshr_max <= cycle {
-            sm.mshr.clear();
-        } else if sm.mshr.len() >= sm.mshr_gc_at {
-            sm.mshr.retain(|&c| c > cycle);
-        }
-    }
+    sm.mshr.gc(cycle);
 }
 
 /// Phase A for one SM and one cycle: the warp schedulers. SM-local by
@@ -914,16 +971,9 @@ fn sm_epoch<P: Probe>(
                 // MSHR back-pressure: leave room for a full warp's
                 // worth of miss sectors before issuing (an empty MSHR
                 // file always admits a load). Outstanding ≤ raw length,
-                // so a short file can never gate — skip the scan.
+                // so a short file can never gate — skip the lookup.
                 if sm.mshr.len() + cfg.warp_size as usize > cfg.mshr_per_sm {
-                    let mut outstanding = 0usize;
-                    let mut earliest = u64::MAX;
-                    for &c in &sm.mshr {
-                        if c > cycle {
-                            outstanding += 1;
-                            earliest = earliest.min(c);
-                        }
-                    }
+                    let (outstanding, earliest) = sm.mshr.after(cycle);
                     if outstanding > 0 && outstanding + cfg.warp_size as usize > cfg.mshr_per_sm {
                         until = until.max(earliest);
                     }
@@ -990,7 +1040,7 @@ fn sm_epoch<P: Probe>(
     // mutates until `out.min_next` (phase B only posts completions for
     // requests this SM queued this epoch — there are none), so every
     // epoch until then replays this exact outcome; the skipped MSHR GC
-    // is result-identical because all readers filter on `> cycle`.
+    // is result-identical because all readers ask only about `> cycle`.
     sm.ff_until = if !any_chosen && sm.retiring.is_empty() {
         sm.ff_live = out.live;
         out.min_next
@@ -1057,7 +1107,7 @@ fn issue_store_phase_a<P: Probe>(
         sm.sectors.push(SectorReq {
             sector: sm.scratch[k],
             ready: cycle,
-            mshr_slot: usize::MAX,
+            mshr_placeholder: 0,
         });
     }
     sm.reqs.push(MemRequest {
@@ -1091,7 +1141,6 @@ fn issue_load_phase_a<P: Probe>(
     trace_idx: usize,
     pc: usize,
 ) -> u64 {
-    let _lm = crate::spans::span("engine.l1_mshr");
     coalesce(&mut sm.scratch, wt.lanes(m), cfg.sector_bytes);
     let tag_idx = m.tag.index();
     match m.space {
@@ -1170,15 +1219,14 @@ fn issue_load_phase_a<P: Probe>(
                         if tm > want {
                             sm.probe.mshr_wait(want, tm);
                         }
-                        let slot = sm.mshr.len();
-                        // Lower-bound placeholder; phase B writes the real
-                        // fill time before any later epoch reads it.
-                        sm.mshr.push(tm + cfg.l2_latency);
-                        sm.mshr_max = sm.mshr_max.max(tm + cfg.l2_latency);
+                        // Lower-bound placeholder; phase B moves it to the
+                        // real fill time before any later epoch reads it.
+                        let placeholder = tm + cfg.l2_latency;
+                        sm.mshr.push(placeholder);
                         sm.sectors.push(SectorReq {
                             sector: s,
                             ready: tm,
-                            mshr_slot: slot,
+                            mshr_placeholder: placeholder,
                         });
                     }
                 }
@@ -1245,7 +1293,7 @@ fn mem_phase_b<P: Probe>(
                 let SectorReq {
                     sector,
                     ready,
-                    mshr_slot,
+                    mshr_placeholder,
                 } = sm.sectors[k];
                 let addr = sector * cfg.sector_bytes;
                 let slice = (sector % memsys.l2_free_at.len() as u64) as usize;
@@ -1263,8 +1311,7 @@ fn mem_phase_b<P: Probe>(
                     sm.probe.dram_access(td);
                     td + cfg.dram_latency
                 };
-                sm.mshr[mshr_slot] = filled;
-                sm.mshr_max = sm.mshr_max.max(filled);
+                sm.mshr.fill(mshr_placeholder, filled);
                 done = done.max(filled);
             }
             memstats.stall_by_tag[req.tag_idx] += done.saturating_sub(req.issue_cycle);
@@ -1840,5 +1887,67 @@ mod epoch_tests {
         for (a, b) in p_on.iter().zip(p_off.iter()) {
             assert_eq!(a.view(), b.view(), "fast-forward changed probe view");
         }
+    }
+}
+
+#[cfg(test)]
+mod mshr_tests {
+    use super::*;
+    use gvf_prop::props;
+
+    /// The reference model: an unsorted multiset, answered by a linear
+    /// scan (the engine's MSHR query before the file was sorted).
+    fn naive_after(file: &[u64], t: u64) -> (usize, u64) {
+        let live = file.iter().filter(|&&c| c > t);
+        (
+            live.clone().count(),
+            live.copied().min().unwrap_or(u64::MAX),
+        )
+    }
+
+    /// Random epochs in the engine's discipline — GC at `now`, phase-A
+    /// placeholder pushes above `now`, phase-B fills of every
+    /// placeholder to a time at or after it, in random order — must
+    /// answer every `after(t)` (and so every `mshr_acquire`) exactly
+    /// as a linear scan of a never-collected unsorted file, at the
+    /// current and the next cycle and beyond. The file stays sorted
+    /// and never outgrows its capacity.
+    #[test]
+    fn sorted_file_matches_linear_scan() {
+        props!(64, |rng| {
+            let gc_at = rng.range_usize(1, 48);
+            let mut file = MshrFile::new(4096, gc_at);
+            let cap = file.done.capacity();
+            let mut model: Vec<u64> = Vec::new();
+            let mut now = 0u64;
+            for _ in 0..rng.range_usize(1, 120) {
+                file.gc(now);
+                let mut pending: Vec<u64> = Vec::new();
+                for _ in 0..rng.range_usize(0, 40) {
+                    let c = now + rng.range_u64(1, 300);
+                    file.push(c);
+                    model.push(c);
+                    pending.push(c);
+                    let t = now + rng.range_u64(0, 2);
+                    assert_eq!(file.after(t), naive_after(&model, t));
+                }
+                while !pending.is_empty() {
+                    let p = pending.swap_remove(rng.range_usize(0, pending.len()));
+                    let filled = p + rng.range_u64(0, 800);
+                    file.fill(p, filled);
+                    *model.iter_mut().find(|c| **c == p).expect("placeholder") = filled;
+                }
+                assert!(file.done.windows(2).all(|w| w[0] <= w[1]), "file unsorted");
+                assert_eq!(file.done.capacity(), cap, "file reallocated");
+                for t in [now, now + 1, now + rng.range_u64(0, 1200)] {
+                    assert_eq!(file.after(t), naive_after(&model, t), "after({t})");
+                    let want = rng.range_usize(1, 64);
+                    let (outstanding, earliest) = naive_after(&model, t);
+                    let naive = if outstanding < want { t } else { earliest };
+                    assert_eq!(mshr_acquire(&file, want, t), naive, "acquire at {t}");
+                }
+                now += rng.range_u64(1, 200);
+            }
+        });
     }
 }

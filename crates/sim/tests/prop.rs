@@ -4,8 +4,9 @@
 use gvf_mem::DeviceMemory;
 use gvf_prop::{gen, props, Rng};
 use gvf_sim::{
-    lanes_from_fn, run_kernel, AccessTag, Gpu, GpuConfig, KernelTrace, MemOp, Op, SectoredCache,
-    SimPool, Space, Stats, WarpTrace,
+    lanes_from_fn, run_kernel, AccessTag, AttribReport, AttributionProbe, CycleAuditProbe,
+    CycleAuditReport, Gpu, GpuConfig, KernelTrace, MemOp, Op, Probe, SectoredCache, SimPool, Space,
+    Stats, WarpTrace,
 };
 
 fn mem_op(addrs: Vec<u64>, tag: AccessTag) -> Op {
@@ -320,7 +321,6 @@ fn log_hist_merge_associative_commutative() {
 /// cross-check invariant).
 #[test]
 fn attribution_identical_any_thread_count() {
-    use gvf_sim::{AttribReport, AttributionProbe};
     props!(12, |rng| {
         let kernel = arb_kernel(rng);
         let cfg = GpuConfig::small();
@@ -368,7 +368,6 @@ fn attribution_identical_any_thread_count() {
 /// library form), on arbitrary kernels.
 #[test]
 fn cycle_audit_reconciles_and_is_thread_count_invariant() {
-    use gvf_sim::{CycleAuditProbe, CycleAuditReport};
     let audit_of = |gpu: Gpu, kernel: &KernelTrace, plain: &Stats| -> CycleAuditReport {
         let (stats, probes) = gpu.execute_probed(kernel, |_| CycleAuditProbe::new());
         assert_eq!(&stats, plain, "audit probe perturbed Stats");
@@ -402,6 +401,64 @@ fn cycle_audit_reconciles_and_is_thread_count_invariant() {
     });
 }
 
+/// The determinism-checked artifacts of one run: [`Stats`], the merged
+/// attribution report and the merged cycle-audit report, from
+/// [`Gpu::execute_serial_probed`] or [`Gpu::execute_probed`].
+fn determinism_artifacts(
+    gpu: &Gpu,
+    serial: bool,
+    kernel: &KernelTrace,
+) -> (Stats, AttribReport, CycleAuditReport) {
+    let (stats, aprobes) = if serial {
+        gpu.execute_serial_probed(kernel, |_| AttributionProbe::new())
+    } else {
+        gpu.execute_probed(kernel, |_| AttributionProbe::new())
+    };
+    let mut attrib = AttribReport::default();
+    for p in aprobes {
+        attrib.merge(p.report());
+    }
+    let (s2, cprobes) = if serial {
+        gpu.execute_serial_probed(kernel, |_| CycleAuditProbe::new())
+    } else {
+        gpu.execute_probed(kernel, |_| CycleAuditProbe::new())
+    };
+    assert_eq!(stats, s2, "Stats differ across probe kinds");
+    let mut audit = CycleAuditReport {
+        sms: cprobes.len() as u64,
+        audited_cycles: s2.cycles,
+        ..CycleAuditReport::default()
+    };
+    for p in cprobes {
+        p.finalize_into(s2.cycles, &mut audit);
+    }
+    (stats, attrib, audit)
+}
+
+/// [`Gpu::execute`] and [`Gpu::execute_serial`] both reproduce the
+/// serial reference's artifacts with fast-forward on and off, at 1/2/8
+/// host threads.
+fn assert_execute_matches_serial(cfg: &GpuConfig, kernel: &KernelTrace) {
+    let reference = determinism_artifacts(&Gpu::new(cfg.clone()), true, kernel);
+    for ff in [true, false] {
+        for threads in [1usize, 2, 8] {
+            let gpu = Gpu::new(cfg.clone())
+                .with_threads(threads)
+                .with_fast_forward(ff);
+            let parallel = determinism_artifacts(&gpu, false, kernel);
+            assert_eq!(
+                parallel, reference,
+                "execute diverged from serial reference (ff={ff}, threads={threads})"
+            );
+            let serial = determinism_artifacts(&gpu, true, kernel);
+            assert_eq!(
+                serial, reference,
+                "execute_serial diverged (ff={ff}, threads={threads})"
+            );
+        }
+    }
+}
+
 /// The engine's whole determinism contract in property form:
 /// [`Gpu::execute`] ≡ [`Gpu::execute_serial`] over random programs,
 /// with fast-forward on and off, at 1/2/8 host threads. All three
@@ -412,63 +469,64 @@ fn cycle_audit_reconciles_and_is_thread_count_invariant() {
 /// byte-equality.
 #[test]
 fn execute_matches_execute_serial_over_ff_and_threads() {
-    use gvf_sim::{
-        AttribReport, AttributionProbe, CycleAuditProbe, CycleAuditReport, Gpu, KernelTrace,
-    };
-
-    fn artifacts(
-        gpu: &Gpu,
-        serial: bool,
-        kernel: &KernelTrace,
-    ) -> (Stats, AttribReport, CycleAuditReport) {
-        let (stats, aprobes) = if serial {
-            gpu.execute_serial_probed(kernel, |_| AttributionProbe::new())
-        } else {
-            gpu.execute_probed(kernel, |_| AttributionProbe::new())
-        };
-        let mut attrib = AttribReport::default();
-        for p in aprobes {
-            attrib.merge(p.report());
-        }
-        let (s2, cprobes) = if serial {
-            gpu.execute_serial_probed(kernel, |_| CycleAuditProbe::new())
-        } else {
-            gpu.execute_probed(kernel, |_| CycleAuditProbe::new())
-        };
-        assert_eq!(stats, s2, "Stats differ across probe kinds");
-        let mut audit = CycleAuditReport {
-            sms: cprobes.len() as u64,
-            audited_cycles: s2.cycles,
-            ..CycleAuditReport::default()
-        };
-        for p in cprobes {
-            p.finalize_into(s2.cycles, &mut audit);
-        }
-        (stats, attrib, audit)
-    }
-
     props!(8, |rng| {
         let kernel = arb_kernel(rng);
-        let cfg = GpuConfig::small();
-        let reference = artifacts(&Gpu::new(cfg.clone()), true, &kernel);
-        for ff in [true, false] {
-            for threads in [1usize, 2, 8] {
-                let gpu = Gpu::new(cfg.clone())
-                    .with_threads(threads)
-                    .with_fast_forward(ff);
-                let parallel = artifacts(&gpu, false, &kernel);
-                assert_eq!(
-                    parallel, reference,
-                    "execute diverged from serial reference (ff={ff}, threads={threads})"
-                );
-                let serial = artifacts(&gpu, true, &kernel);
-                assert_eq!(
-                    serial, reference,
-                    "execute_serial diverged (ff={ff}, threads={threads})"
-                );
-            }
-        }
+        assert_execute_matches_serial(&GpuConfig::small(), &kernel);
     });
+}
+
+/// Counts the misses that found the MSHR file full.
+#[derive(Default)]
+struct MshrWaits(u64);
+
+impl Probe for MshrWaits {
+    fn mshr_wait(&mut self, _cycle: u64, _until: u64) {
+        self.0 += 1;
+    }
+}
+
+/// Generates a miss-heavy kernel: many warps issuing diverged loads
+/// over a footprint far beyond the small config's caches, so the MSHR
+/// file fills.
+fn arb_miss_kernel(rng: &mut Rng) -> KernelTrace {
+    let warps = (0..rng.range_usize(4, 24))
+        .map(|_| {
+            let mut w = WarpTrace::new();
+            for _ in 0..rng.range_usize(1, 10) {
+                if rng.bool(0.2) {
+                    w.push(Op::Alu(rng.range_u64(1, 4) as u16));
+                    continue;
+                }
+                let base = rng.range_u64(0, 1 << 24) * 32;
+                let stride = *rng.pick(&[32u64, 128, 4096]);
+                let lanes = rng.range_u64(8, 33);
+                let tag = *rng.pick(&[AccessTag::Field, AccessTag::VtablePtr, AccessTag::VfuncPtr]);
+                w.push(mem_op((0..lanes).map(|l| base + l * stride).collect(), tag));
+            }
+            w
+        })
+        .collect();
+    KernelTrace { warps }
+}
+
+/// The determinism contract in the MSHR-gated regime: with a small
+/// `mshr_per_sm`, scheduler back-pressure (file within a warp of full)
+/// and `mshr_acquire` (file full, the miss waits) both gate issue, and
+/// [`Gpu::execute`] ≡ [`Gpu::execute_serial`] must still hold with
+/// fast-forward on and off at 1/2/8 host threads. At least one case
+/// must actually wait on a full file, or the property covers nothing.
+#[test]
+fn execute_matches_execute_serial_with_mshr_gating() {
+    let mut waits = 0u64;
+    props!(8, |rng| {
+        let kernel = arb_miss_kernel(rng);
+        let mut cfg = GpuConfig::small();
+        cfg.mshr_per_sm = rng.range_usize(4, 49);
+        let (_, probes) = Gpu::new(cfg.clone()).execute_serial_probed(&kernel, |_| MshrWaits(0));
+        waits += probes.iter().map(|p| p.0).sum::<u64>();
+        assert_execute_matches_serial(&cfg, &kernel);
+    });
+    assert!(waits > 0, "no generated case waited on a full MSHR file");
 }
 
 /// Observability invariant: probes never perturb the run (`Stats` from

@@ -8,29 +8,39 @@
 //! engine *exactly* the same number of allocations, i.e. the marginal
 //! allocation cost of an epoch is zero.
 
-use gvf_sim::{AccessTag, Gpu, GpuConfig, KernelTrace, MemOp, Op, Space, WarpTrace};
+use gvf_sim::{AccessTag, Gpu, GpuConfig, KernelTrace, MemOp, Op, Probe, Space, WarpTrace};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Forwards to the system allocator, counting every allocation path
 /// that can hand out a new block (alloc, alloc_zeroed, realloc).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, so tests running
+    /// side by side (and the harness's own threads) never count each
+    /// other's allocations; the engine runs serially on the calling
+    /// thread here.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -43,9 +53,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// A kernel of `reps` identical rounds per warp: loads that hit and
@@ -120,4 +130,71 @@ fn epoch_loop_is_allocation_free() {
     let s = gpu.execute_serial(&short);
     let l = gpu.execute_serial(&long);
     assert!(l.cycles > s.cycles);
+}
+
+/// A kernel of `reps` rounds per warp of fully diverged loads (32
+/// sectors each) over a footprint far beyond the small config's caches:
+/// every round misses to DRAM, so a small MSHR file stays saturated.
+fn miss_kernel(warps: usize, reps: usize) -> KernelTrace {
+    let mk = |wi: usize| {
+        let mut w = WarpTrace::new();
+        for k in 0..reps {
+            let base = ((k * warps + wi) as u64) << 14;
+            w.push(Op::Mem(MemOp {
+                space: Space::Global,
+                is_store: false,
+                width: 8,
+                mask: u32::MAX,
+                addrs: (0..32u64)
+                    .map(|l| base + l * 128)
+                    .collect::<Vec<_>>()
+                    .into(),
+                tag: AccessTag::Field,
+            }));
+            w.push(Op::Alu(1));
+        }
+        w
+    };
+    KernelTrace {
+        warps: (0..warps).map(mk).collect(),
+    }
+}
+
+/// Counts the misses that found the MSHR file full.
+struct MshrWaits(u64);
+
+impl Probe for MshrWaits {
+    fn mshr_wait(&mut self, _cycle: u64, _until: u64) {
+        self.0 += 1;
+    }
+}
+
+/// The MSHR-gated path allocates nothing per epoch either: with the
+/// file smaller than one warp's miss burst, every load waits in
+/// `mshr_acquire` and the scheduler's back-pressure defers the rest,
+/// and the sorted file's inserts must stay within its preallocated
+/// capacity.
+#[test]
+fn mshr_gated_epoch_loop_is_allocation_free() {
+    let mut cfg = GpuConfig::small();
+    cfg.mshr_per_sm = 16;
+    let gpu = Gpu::new(cfg).with_threads(1);
+    let short = miss_kernel(16, 8);
+    let long = miss_kernel(16, 32);
+    let (_, probes) = gpu.execute_serial_probed(&short, |_| MshrWaits(0));
+    assert!(
+        probes.iter().all(|p| p.0 > 0),
+        "kernel does not saturate the MSHR file on every SM"
+    );
+    gpu.execute_serial(&short);
+    let a_short = allocs_during(|| {
+        gpu.execute_serial(&short);
+    });
+    let a_long = allocs_during(|| {
+        gpu.execute_serial(&long);
+    });
+    assert_eq!(
+        a_long, a_short,
+        "per-epoch allocation on the MSHR-gated path: long run cost {a_long} allocations, short run {a_short}"
+    );
 }
