@@ -106,30 +106,34 @@ fn kernel(warps: usize, reps: usize) -> KernelTrace {
     }
 }
 
-#[test]
-fn epoch_loop_is_allocation_free() {
-    let gpu = Gpu::new(GpuConfig::small()).with_threads(1);
-    let short = kernel(40, 8);
-    let long = kernel(40, 32);
+/// Asserts that `long` (more epochs, same per-epoch structure as
+/// `short`) costs the engine exactly as many allocations as `short`,
+/// and that it really simulated more cycles.
+fn assert_epochs_allocation_free(gpu: &Gpu, short: &KernelTrace, long: &KernelTrace) {
     // Warm-up: let lazy one-time allocations (rayon-free, but e.g.
     // stdio locks or TLS inits) happen outside the measured windows.
-    gpu.execute_serial(&short);
+    gpu.execute_serial(short);
     let a_short = allocs_during(|| {
-        gpu.execute_serial(&short);
+        gpu.execute_serial(short);
     });
     let a_long = allocs_during(|| {
-        gpu.execute_serial(&long);
+        gpu.execute_serial(long);
     });
-    // 4× the epochs, identical per-epoch structure: any marginal
+    // More epochs, identical per-epoch structure: any marginal
     // allocation per epoch would show up as a_long > a_short.
     assert_eq!(
         a_long, a_short,
         "per-epoch allocation detected: long run cost {a_long} allocations, short run {a_short}"
     );
-    // Sanity: the longer kernel really did simulate more cycles.
-    let s = gpu.execute_serial(&short);
-    let l = gpu.execute_serial(&long);
+    let s = gpu.execute_serial(short);
+    let l = gpu.execute_serial(long);
     assert!(l.cycles > s.cycles);
+}
+
+#[test]
+fn epoch_loop_is_allocation_free() {
+    let gpu = Gpu::new(GpuConfig::small()).with_threads(1);
+    assert_epochs_allocation_free(&gpu, &kernel(40, 8), &kernel(40, 32));
 }
 
 /// A kernel of `reps` rounds per warp of fully diverged loads (32
@@ -186,15 +190,5 @@ fn mshr_gated_epoch_loop_is_allocation_free() {
         probes.iter().all(|p| p.0 > 0),
         "kernel does not saturate the MSHR file on every SM"
     );
-    gpu.execute_serial(&short);
-    let a_short = allocs_during(|| {
-        gpu.execute_serial(&short);
-    });
-    let a_long = allocs_during(|| {
-        gpu.execute_serial(&long);
-    });
-    assert_eq!(
-        a_long, a_short,
-        "per-epoch allocation on the MSHR-gated path: long run cost {a_long} allocations, short run {a_short}"
-    );
+    assert_epochs_allocation_free(&gpu, &short, &long);
 }
